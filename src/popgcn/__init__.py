@@ -6,8 +6,7 @@ fused by trainable scalar attention weights.
 """
 
 from .baselines import (BaselineKind, averaged_propagation,
-                        identity_propagation, run_baseline_cv, train_avg_graph_gcn,
-                        train_dense_nn, train_linear)
+                        identity_propagation, run_baseline_cv)
 from .data import (DataError, Dataset, FoldSplit, SynthConfig,
                    generate_synthetic, load_dataset, save_dataset,
                    stratified_kfold)
@@ -15,7 +14,7 @@ from .graph import (EQUALITY, THRESHOLD, AffinityMatrix, EdgeRule, GraphError,
                     PropagationMatrix, build_affinity, build_affinity_matrices,
                     build_edge_matrix, build_propagation_matrices,
                     default_edge_rules, graph_statistics, normalize_affinity,
-                    similarity_matrix, spectral_radius)
+                    rules_or_defaults, similarity_matrix, spectral_radius)
 from .model import (BranchParams, BranchTrace, ForwardTrace, Gradients,
                     ModelParams, branch_forward, class_weights,
                     compute_gradients, finite_diff_check, fuse_logits,

@@ -1,23 +1,25 @@
 """Reference methods: linear classifier, dense network, averaged-graph GCN.
 
-All baselines reuse the shared trainer, fold splits, and per-fold seeds, so a
-comparison against the multi-branch model differs only in model structure.
+A baseline is a training config plus one propagation operator, run through
+the model's own cross-validation loop on the same folds and per-fold seeds,
+so a comparison against the multi-branch model differs only in model
+structure. ``linear`` is the single-branch model with no hidden layer and no
+dropout on the identity operator; ``dense_nn`` keeps the config's layers on
+the identity operator; ``avg_gcn`` keeps them on the normalized mean of the
+element affinity matrices.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from enum import Enum
 
 import numpy as np
 
-from .data import Dataset, FoldSplit
+from .data import Dataset
 from .graph import (AffinityMatrix, PropagationMatrix, build_affinity_matrices,
-                    normalize_affinity)
-from .model import model_forward
-from .train import (TrainConfig, cv_folds_and_seeds, evaluate, split_hash,
-                    train_model)
+                    normalize_affinity, rules_or_defaults)
+from .train import TrainConfig, _cross_validate
 
 
 class BaselineKind(Enum):
@@ -31,78 +33,36 @@ def identity_propagation(n_nodes: int) -> PropagationMatrix:
     return PropagationMatrix(matrix=np.eye(n_nodes))
 
 
-def averaged_propagation(dataset: Dataset, rules=None) -> PropagationMatrix:
-    """Mean of all element affinity matrices, normalized once."""
-    affinities = build_affinity_matrices(dataset, rules)
+def averaged_propagation(affinities) -> PropagationMatrix:
+    """Mean of the element affinity matrices, normalized once."""
     mean_weights = np.mean([a.weights for a in affinities], axis=0)
     return normalize_affinity(
         AffinityMatrix(weights=mean_weights, element_name="averaged"))
 
 
-def _fold_metrics(dataset, fold, config, props, seed, kind: BaselineKind) -> dict:
-    if seed is None:
-        seed = config.seed
-    model = train_model(dataset, props, config, seed, train_idx=fold.train_idx)
-    metrics = evaluate(model, dataset, fold.test_idx)
-    train_probs = model_forward(props, dataset.features, model.params, 0.0,
-                                None, training=False).probabilities
-    predictions = train_probs[fold.train_idx].argmax(axis=1)
-    metrics["train_accuracy"] = float(
-        np.mean(predictions == dataset.labels[fold.train_idx]))
-    metrics["kind"] = kind.value
-    metrics["fold"] = fold.fold_id
-    return metrics
+def run_baseline_cv(dataset: Dataset, config: TrainConfig, kind: BaselineKind,
+                    affinities=None) -> dict:
+    """Cross-validate one baseline on the same folds and seeds as the model.
 
-
-def train_linear(dataset: Dataset, fold: FoldSplit, config: TrainConfig,
-                 seed=None) -> dict:
-    """Multinomial logistic baseline: one linear map, no graphs, no dropout."""
-    cfg = replace(config, hidden_dims=(), dropout_rate=0.0)
-    props = [identity_propagation(dataset.n_nodes)]
-    return _fold_metrics(dataset, fold, cfg, props, seed, BaselineKind.LINEAR)
-
-
-def train_dense_nn(dataset: Dataset, fold: FoldSplit, config: TrainConfig,
-                   seed=None) -> dict:
-    """Dense network on raw features; the graphs are unused.
-
-    Same hidden sizes, dropout, regularizer, and optimizer as one model
-    branch, run with an identity propagation matrix.
+    ``avg_gcn`` averages ``affinities``, the element graphs of
+    ``rules_or_defaults(dataset, config.edge_rules)``; they are built here
+    when omitted.
     """
-    props = [identity_propagation(dataset.n_nodes)]
-    metrics = _fold_metrics(dataset, fold, config, props, seed,
-                            BaselineKind.DENSE_NN)
-    metrics["architecture"] = [*config.hidden_dims, dataset.n_classes]
-    return metrics
+    extra = {"kind": kind.value}
+    if kind is BaselineKind.AVERAGED_GRAPH_GCN:
+        if affinities is None:
+            affinities = build_affinity_matrices(
+                dataset, rules_or_defaults(dataset, config.edge_rules))
+        prop = averaged_propagation(affinities)
+    else:
+        prop = identity_propagation(dataset.n_nodes)
+    if kind is BaselineKind.LINEAR:
+        config = replace(config, hidden_dims=(), dropout_rate=0.0)
+    elif kind is BaselineKind.DENSE_NN:
+        extra["architecture"] = [*config.hidden_dims, dataset.n_classes]
 
+    def fold_entry(fold, model, metrics):
+        return {**metrics, "fold": fold.fold_id, **extra}
 
-def train_avg_graph_gcn(dataset: Dataset, fold: FoldSplit, config: TrainConfig,
-                        seed=None) -> dict:
-    """Single-branch GCN on the mean of all element affinity matrices."""
-    rules = list(config.edge_rules) if config.edge_rules else None
-    props = [averaged_propagation(dataset, rules)]
-    return _fold_metrics(dataset, fold, config, props, seed,
-                         BaselineKind.AVERAGED_GRAPH_GCN)
-
-
-_FOLD_TRAINERS = {
-    BaselineKind.LINEAR: train_linear,
-    BaselineKind.DENSE_NN: train_dense_nn,
-    BaselineKind.AVERAGED_GRAPH_GCN: train_avg_graph_gcn,
-}
-
-
-def run_baseline_cv(dataset: Dataset, config: TrainConfig,
-                    kind: BaselineKind) -> dict:
-    """Cross-validate one baseline on the same folds and seeds as the model."""
-    folds, seeds = cv_folds_and_seeds(dataset.labels, config)
-    entries = []
-    for fold, fold_seed in zip(folds, seeds):
-        started = time.perf_counter()
-        metrics = _FOLD_TRAINERS[kind](dataset, fold, config, seed=fold_seed)
-        metrics["wall_clock_sec"] = time.perf_counter() - started
-        entries.append(metrics)
-    accs = np.array([entry["accuracy"] for entry in entries])
-    return {"kind": kind.value, "folds": entries,
-            "mean_acc": float(accs.mean()), "std_acc": float(accs.std()),
-            "split_hash": split_hash(folds)}
+    return {"kind": kind.value,
+            **_cross_validate(dataset, config, [prop], fold_entry)}

@@ -20,8 +20,9 @@ from .baselines import BaselineKind, run_baseline_cv
 from .data import (DataError, Dataset, SynthConfig, generate_synthetic,
                    load_dataset, save_dataset)
 from .graph import (EQUALITY, THRESHOLD, EdgeRule, GraphError,
-                    build_affinity_matrices, default_edge_rules,
-                    graph_statistics)
+                    build_affinity_matrices, build_propagation_matrices,
+                    default_edge_rules, graph_statistics, normalize_affinity,
+                    rules_or_defaults)
 from .model import finite_diff_check, init_params
 from .train import TrainConfig, TrainingError, run_cv
 
@@ -99,13 +100,27 @@ def _parse_edge_rules(raw) -> list[dict]:
         kind = entry.get("kind", THRESHOLD)
         if kind not in (THRESHOLD, EQUALITY):
             raise ConfigError(f"edge_rules[{i}].kind", f"unknown kind {kind!r}")
-        beta = entry.get("beta")
-        if kind == THRESHOLD and (beta is None or float(beta) <= 0):
+        try:
+            beta = None if entry.get("beta") is None else float(entry["beta"])
+        except (TypeError, ValueError):
+            raise ConfigError(f"edge_rules[{i}].beta",
+                              f"not a number: {entry['beta']!r}") from None
+        if kind == THRESHOLD and (beta is None or beta <= 0):
             raise ConfigError(f"edge_rules[{i}].beta",
                               "threshold rules need beta > 0")
         specs.append({"element": str(entry["element"]), "kind": kind,
-                      "beta": None if beta is None else float(beta)})
+                      "beta": beta})
     return specs
+
+
+def _check_baselines(field: str, names) -> list:
+    if not isinstance(names, list):
+        raise ConfigError(field, "must be a list")
+    for name in names:
+        if not isinstance(name, str) or name not in _BASELINE_NAMES:
+            raise ConfigError(field, f"unknown baseline {name!r}; "
+                                     f"choose from {sorted(_BASELINE_NAMES)}")
+    return names
 
 
 def parse_run_config(raw) -> RunConfig:
@@ -128,12 +143,8 @@ def parse_run_config(raw) -> RunConfig:
     compare = raw.get("compare", {})
     if not isinstance(compare, dict):
         raise ConfigError("compare", "must be an object")
-    baselines = compare.get("baselines", sorted(_BASELINE_NAMES))
-    for name in baselines:
-        if name not in _BASELINE_NAMES:
-            raise ConfigError("compare.baselines",
-                              f"unknown baseline {name!r}; "
-                              f"choose from {sorted(_BASELINE_NAMES)}")
+    baselines = _check_baselines(
+        "compare.baselines", compare.get("baselines", sorted(_BASELINE_NAMES)))
     subsets = compare.get("subsets")
     if subsets is not None:
         if (not isinstance(subsets, list)
@@ -178,32 +189,40 @@ def resolve_edge_rules(dataset: Dataset, specs) -> list[EdgeRule]:
     return rules
 
 
-def ablate_graph_subsets(dataset: Dataset, config: TrainConfig,
-                         subsets) -> dict:
+def ablate_graph_subsets(dataset: Dataset, config: TrainConfig, subsets,
+                         props=None, full_report=None) -> dict:
     """Cross-validate the model restricted to each requested graph subset.
 
     Subsets are lists of element names; keys of the returned mapping join the
     names in dataset element order with "+". All subsets share the fold
-    splits and per-fold seeds of ``config.seed``.
+    splits and per-fold seeds of ``config.seed``. Each subset trains on its
+    slice of ``props``, the operators of the config's resolved edge rules
+    (built here when omitted). A subset of every rule in order is the run of
+    ``config`` itself: its report is ``full_report`` when one is given.
     """
-    base_rules = (list(config.edge_rules) if config.edge_rules
-                  else default_edge_rules(dataset))
-    by_element = {dataset.element_names[rule.element_index]: rule
-                  for rule in base_rules}
+    rules = rules_or_defaults(dataset, config.edge_rules)
+    if props is None:
+        props = build_propagation_matrices(dataset, rules)
+    position = {dataset.element_names[rule.element_index]: i
+                for i, rule in enumerate(rules)}
     reports = {}
     for subset in subsets:
         if not subset:
             raise ConfigError("compare.subsets", "empty graph subset")
         for name in subset:
-            if name not in by_element:
+            if name not in position:
                 raise ConfigError("compare.subsets",
                                   f"unknown element {name!r}")
-        chosen = [by_element[name] for name in dataset.element_names
-                  if name in set(subset)]
-        key = "+".join(name for name in dataset.element_names
-                       if name in set(subset))
-        subset_config = replace(config, edge_rules=tuple(chosen))
-        reports[key] = run_cv(dataset, subset_config).to_dict()
+        names = [name for name in dataset.element_names if name in set(subset)]
+        chosen = [position[name] for name in names]
+        key = "+".join(names)
+        if chosen == list(range(len(rules))) and full_report is not None:
+            reports[key] = full_report
+        else:
+            subset_config = replace(
+                config, edge_rules=tuple(rules[i] for i in chosen))
+            reports[key] = run_cv(dataset, subset_config,
+                                  [props[i] for i in chosen]).to_dict()
     return reports
 
 
@@ -301,13 +320,8 @@ def cmd_cv(args) -> int:
 def cmd_compare(args) -> int:
     run = _apply_overrides(load_run_config(args.config), args)
     if args.baselines is not None:
-        names = [n for n in args.baselines.split(",") if n]
-        for name in names:
-            if name not in _BASELINE_NAMES:
-                raise ConfigError("--baselines",
-                                  f"unknown baseline {name!r}; "
-                                  f"choose from {sorted(_BASELINE_NAMES)}")
-        run.baselines = names
+        run.baselines = _check_baselines(
+            "--baselines", [n for n in args.baselines.split(",") if n])
     dataset = materialize_dataset(run)
     rules = resolve_edge_rules(dataset, run.edge_rule_specs)
     config = replace(run.train, edge_rules=tuple(rules))
@@ -316,14 +330,18 @@ def cmd_compare(args) -> int:
         subsets = [part.split("+") for part in args.subsets.split(",") if part]
     if subsets is None:
         subsets = _default_subsets(dataset)
-    proposed = run_cv(dataset, config).to_dict()
+    affinities = build_affinity_matrices(dataset, rules)
+    props = [normalize_affinity(a) for a in affinities]
+    proposed = run_cv(dataset, config, props).to_dict()
     report = {
         "config": proposed["config"],
         "split_hash": proposed["split_hash"],
         "proposed": proposed,
-        "baselines": {name: run_baseline_cv(dataset, config, BaselineKind(name))
+        "baselines": {name: run_baseline_cv(dataset, config,
+                                            BaselineKind(name), affinities)
                       for name in run.baselines},
-        "subsets": ablate_graph_subsets(dataset, config, subsets),
+        "subsets": ablate_graph_subsets(dataset, config, subsets, props,
+                                        proposed),
     }
     written = _write_report(report, run.out)
     tail = f" -> {written}" if written else ""

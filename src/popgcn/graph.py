@@ -167,20 +167,10 @@ def normalize_affinity(affinity: AffinityMatrix) -> PropagationMatrix:
         matrix=augmented * np.outer(inv_sqrt_degree, inv_sqrt_degree))
 
 
-def spectral_radius(matrix, n_iter: int = 1000, seed: int = 0) -> float:
-    """Largest absolute eigenvalue, estimated by power iteration."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    vec = rng.standard_normal(matrix.shape[0])
-    vec /= np.linalg.norm(vec)
-    radius = 0.0
-    for _ in range(n_iter):
-        prod = matrix @ vec
-        radius = float(np.linalg.norm(prod))
-        if radius == 0.0:
-            return 0.0
-        vec = prod / radius
-    return radius
+def spectral_radius(matrix) -> float:
+    """Largest absolute eigenvalue of a square matrix."""
+    eigenvalues = np.linalg.eigvals(np.asarray(matrix, dtype=np.float64))
+    return float(np.max(np.abs(eigenvalues)))
 
 
 def default_edge_rules(dataset: Dataset) -> list[EdgeRule]:
@@ -204,6 +194,11 @@ def default_edge_rules(dataset: Dataset) -> list[EdgeRule]:
             rules.append(EdgeRule(m, THRESHOLD,
                                   CONTINUOUS_BETA_FACTOR * float(column.std())))
     return rules
+
+
+def rules_or_defaults(dataset: Dataset, rules) -> list[EdgeRule]:
+    """``rules`` as a list, or the per-element defaults when it is empty."""
+    return list(rules) if rules else default_edge_rules(dataset)
 
 
 def build_affinity_matrices(dataset: Dataset, rules=None) -> list[AffinityMatrix]:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import PropagationMatrix, build_propagation_matrices
+from .graph import (PropagationMatrix, build_propagation_matrices,
+                    rules_or_defaults)
 
 PROB_FLOOR = 1e-12
 REL_ERR_FLOOR = 1e-3
@@ -336,8 +337,8 @@ def finite_diff_check(dataset, params: ModelParams, config, seed,
     set returns 0.0 with a warning.
     """
     rng = np.random.default_rng(seed)
-    rules = list(config.edge_rules) if config.edge_rules else None
-    props = build_propagation_matrices(dataset, rules)
+    props = build_propagation_matrices(
+        dataset, rules_or_defaults(dataset, config.edge_rules))
     labels = dataset.labels
 
     mask_parts = []

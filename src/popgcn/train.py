@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, stratified_kfold
-from .graph import EdgeRule, build_propagation_matrices, default_edge_rules
+from .graph import EdgeRule, build_propagation_matrices, rules_or_defaults
 from .model import (ModelParams, class_weights, compute_gradients, init_params,
                     model_forward, weighted_cross_entropy)
 
@@ -229,8 +229,13 @@ def train_model(dataset: Dataset, props, config: TrainConfig, seed,
                         stopped_epoch=len(history), best_epoch=best_epoch)
 
 
-def evaluate(model: TrainedModel, dataset: Dataset, test_idx) -> dict:
-    """Accuracy, per-class accuracy, and confusion matrix on ``test_idx``."""
+def evaluate(model: TrainedModel, dataset: Dataset, test_idx,
+             train_idx=None) -> dict:
+    """Accuracy, per-class accuracy, and confusion matrix on ``test_idx``.
+
+    With ``train_idx``, also ``train_accuracy`` on those nodes, read from the
+    same forward pass.
+    """
     test_idx = np.asarray(test_idx, dtype=np.int64)
     probs = model_forward(model.props, dataset.features, model.params, 0.0,
                           None, training=False).probabilities
@@ -240,13 +245,16 @@ def evaluate(model: TrainedModel, dataset: Dataset, test_idx) -> dict:
     counts = confusion.sum(axis=1)
     per_class = [float(hit / total) if total else None
                  for hit, total in zip(np.diagonal(confusion), counts)]
-    return {
+    metrics = {
         "accuracy": float(np.mean(
             predictions[test_idx] == dataset.labels[test_idx])),
         "per_class_accuracy": per_class,
         "confusion": confusion.tolist(),
         "n_test": int(test_idx.size),
     }
+    if train_idx is not None:
+        metrics["train_accuracy"] = accuracy(probs, dataset.labels, train_idx)
+    return metrics
 
 
 def cv_folds_and_seeds(labels, config: TrainConfig):
@@ -313,44 +321,60 @@ class CVReport:
                 "split_hash": self.split_hash}
 
 
-def run_cv(dataset: Dataset, config: TrainConfig) -> CVReport:
-    """Stratified cross-validation of the multi-branch model.
+def _cross_validate(dataset: Dataset, config: TrainConfig, props,
+                    fold_entry) -> dict:
+    """Train on ``props`` and score every fold of ``config``'s split.
 
-    Graphs are built once on the full node set (test subjects stay vertices of
-    the population graphs); each fold trains on its own training mask and is
-    scored on its test mask. Reported omegas come in raw form and normalized
-    by the sum of absolute values.
+    ``fold_entry(fold, model, metrics)`` makes a fold's report entry from its
+    ``evaluate`` metrics, ``train_accuracy`` included; the loop adds
+    ``wall_clock_sec``. Returns folds, mean_acc, std_acc and split_hash.
     """
-    rules = (list(config.edge_rules) if config.edge_rules
-             else default_edge_rules(dataset))
-    props = build_propagation_matrices(dataset, rules)
     folds, seeds = cv_folds_and_seeds(dataset.labels, config)
     entries = []
     for fold, fold_seed in zip(folds, seeds):
         started = time.perf_counter()
         model = train_model(dataset, props, config, fold_seed,
                             train_idx=fold.train_idx)
-        metrics = evaluate(model, dataset, fold.test_idx)
+        metrics = evaluate(model, dataset, fold.test_idx, fold.train_idx)
+        entry = fold_entry(fold, model, metrics)
+        entry["wall_clock_sec"] = time.perf_counter() - started
+        entries.append(entry)
+    accs = np.array([entry["accuracy"] for entry in entries])
+    return {"folds": entries, "mean_acc": float(accs.mean()),
+            "std_acc": float(accs.std()), "split_hash": split_hash(folds)}
+
+
+def run_cv(dataset: Dataset, config: TrainConfig, props=None) -> CVReport:
+    """Stratified cross-validation of the multi-branch model.
+
+    Graphs are built once on the full node set (test subjects stay vertices of
+    the population graphs); each fold trains on its own training mask and is
+    scored on its test mask. ``props``, when given, must be the operators of
+    ``rules_or_defaults(dataset, config.edge_rules)`` in that order; callers
+    that already built them pass them in. Reported omegas come in raw form
+    and normalized by the sum of absolute values.
+    """
+    rules = rules_or_defaults(dataset, config.edge_rules)
+    if props is None:
+        props = build_propagation_matrices(dataset, rules)
+    elif len(props) != len(rules):
+        raise ValueError(f"{len(props)} propagation matrices for "
+                         f"{len(rules)} edge rules")
+
+    def fold_entry(fold, model, metrics):
+        del metrics["n_test"]  # the model report format has no test count
         omega = model.params.omega
         scale = float(np.sum(np.abs(omega)))
-        entries.append({
+        return {
+            **metrics,
             "fold": fold.fold_id,
-            "accuracy": metrics["accuracy"],
-            "per_class_accuracy": metrics["per_class_accuracy"],
-            "confusion": metrics["confusion"],
-            "train_accuracy": accuracy(
-                model_forward(props, dataset.features, model.params, 0.0, None,
-                              training=False).probabilities,
-                dataset.labels, fold.train_idx),
             "omega_raw": omega.tolist(),
             "omega_normalized": ((omega / scale).tolist() if scale > 0
                                  else omega.tolist()),
             "best_epoch": model.best_epoch,
             "stopped_epoch": model.stopped_epoch,
-            "wall_clock_sec": time.perf_counter() - started,
-        })
-    accs = np.array([entry["accuracy"] for entry in entries])
+        }
+
     echo = config_to_dict(config, rules, dataset.element_names)
-    return CVReport(folds=entries, mean_acc=float(accs.mean()),
-                    std_acc=float(accs.std()), config=echo,
-                    split_hash=split_hash(folds))
+    return CVReport(config=echo,
+                    **_cross_validate(dataset, config, props, fold_entry))

@@ -3,9 +3,9 @@ import json
 import pytest
 
 import popgcn
-from popgcn.cli import (ConfigError, _default_subsets, gradcheck_instances,
-                        load_run_config, main, parse_run_config,
-                        resolve_edge_rules)
+from popgcn.cli import (ConfigError, _default_subsets, ablate_graph_subsets,
+                        gradcheck_instances, load_run_config, main,
+                        parse_run_config, resolve_edge_rules)
 from helpers import quick_dataset
 
 SYNTH_RECIPE = {
@@ -105,6 +105,19 @@ class TestParseRunConfig:
             load_run_config(path)
 
 
+@pytest.mark.parametrize("extra, field", [
+    ({"compare": {"baselines": "linear"}}, "compare.baselines"),
+    ({"compare": {"baselines": [{}]}}, "compare.baselines"),
+    ({"edge_rules": [{"element": "age", "beta": "abc"}]}, "edge_rules[0].beta"),
+])
+def test_malformed_field_named_through_main(tmp_path, capsys, extra, field):
+    config = write_config(tmp_path, **extra)
+    assert main(["compare", "--config", config]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: config: {field}: ")
+
+
 class TestEdgeRuleResolution:
     def test_named_override_replaces_default(self):
         ds = quick_dataset()
@@ -120,6 +133,14 @@ class TestEdgeRuleResolution:
         with pytest.raises(ConfigError, match=r"edge_rules\[0\]\.element"):
             resolve_edge_rules(ds, [
                 {"element": "site", "kind": "equality", "beta": None}])
+
+    def test_full_set_subset_is_the_model_run(self):
+        ds = quick_dataset()
+        config = popgcn.TrainConfig(**QUICK_TRAIN)
+        reports = ablate_graph_subsets(ds, config, [["noise", "informative"]])
+        assert list(reports) == ["informative+noise"]
+        assert strip_wall_clock(reports["informative+noise"]) == \
+            strip_wall_clock(popgcn.run_cv(ds, config).to_dict())
 
     def test_default_subsets_singletons_plus_full(self):
         ds = quick_dataset()
@@ -260,6 +281,24 @@ class TestCompareCommand:
         assert report["subsets"]["informative"]["split_hash"] == \
             report["split_hash"]
         assert "compare:" in capsys.readouterr().err
+
+    def test_graphs_built_once_and_full_set_reuses_proposed(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = popgcn.graph.similarity_matrix
+
+        def counted(features):
+            calls.append(1)
+            return original(features)
+
+        monkeypatch.setattr(popgcn.graph, "similarity_matrix", counted)
+        out = tmp_path / "compare.json"
+        assert main(["compare", "--config", write_config(tmp_path),
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1
+        report = json.loads(out.read_text())
+        assert set(report["baselines"]) == {"avg_gcn", "dense_nn", "linear"}
+        assert report["subsets"]["informative+noise"] == report["proposed"]
 
     def test_unknown_subset_element_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path)

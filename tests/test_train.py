@@ -208,6 +208,12 @@ class TestEvaluate:
         assert result["confusion"] == np.eye(3, dtype=int).tolist()
         assert result["n_test"] == 3
 
+    def test_train_accuracy_only_when_asked(self):
+        model, dataset = self._oracle_model(), self._oracle_dataset()
+        assert "train_accuracy" not in popgcn.evaluate(model, dataset, [0])
+        result = popgcn.evaluate(model, dataset, [0], train_idx=[1, 2])
+        assert result["train_accuracy"] == 1.0
+
     def test_absent_class_reports_none(self):
         result = popgcn.evaluate(self._oracle_model(), self._oracle_dataset(),
                                  np.array([0, 1]))
@@ -294,6 +300,12 @@ class TestRunCV:
         rules = (popgcn.EdgeRule(0, popgcn.EQUALITY),)
         report = popgcn.run_cv(ds, quick_config(edge_rules=rules))
         assert [r["kind"] for r in report.config["edge_rules"]] == ["equality"]
+
+    def test_prebuilt_props_must_match_rules(self):
+        ds = quick_dataset()
+        props = popgcn.build_propagation_matrices(ds)
+        with pytest.raises(ValueError, match="1 propagation matrices for 2"):
+            popgcn.run_cv(ds, quick_config(), props[:1])
 
     def test_config_immutable_across_run(self):
         ds = quick_dataset()
