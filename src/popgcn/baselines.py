@@ -41,19 +41,19 @@ def averaged_propagation(affinities) -> PropagationMatrix:
 
 
 def run_baseline_cv(dataset: Dataset, config: TrainConfig, kind: BaselineKind,
-                    affinities=None) -> dict:
+                    averaged: PropagationMatrix | None = None) -> dict:
     """Cross-validate one baseline on the same folds and seeds as the model.
 
-    ``avg_gcn`` averages ``affinities``, the element graphs of
-    ``rules_or_defaults(dataset, config.edge_rules)``; they are built here
-    when omitted.
+    ``avg_gcn`` runs on ``averaged``, the ``averaged_propagation`` of the
+    element graphs of ``rules_or_defaults(dataset, config.edge_rules)``;
+    it is built here when omitted.
     """
     extra = {"kind": kind.value}
     if kind is BaselineKind.AVERAGED_GRAPH_GCN:
-        if affinities is None:
-            affinities = build_affinity_matrices(
-                dataset, rules_or_defaults(dataset, config.edge_rules))
-        prop = averaged_propagation(affinities)
+        prop = averaged
+        if prop is None:
+            prop = averaged_propagation(build_affinity_matrices(
+                dataset, rules_or_defaults(dataset, config.edge_rules)))
     else:
         prop = identity_propagation(dataset.n_nodes)
     if kind is BaselineKind.LINEAR:

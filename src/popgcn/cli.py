@@ -13,10 +13,11 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .baselines import BaselineKind, run_baseline_cv
+from .baselines import BaselineKind, averaged_propagation, run_baseline_cv
 from .data import (DataError, Dataset, SynthConfig, generate_synthetic,
                    load_dataset, save_dataset)
 from .graph import (EQUALITY, THRESHOLD, EdgeRule, GraphError,
@@ -28,12 +29,8 @@ from .train import TrainConfig, TrainingError, run_cv
 
 GRADCHECK_TOLERANCE = 1e-5
 
-_SYNTH_KEYS = {"n_nodes", "n_features", "n_classes", "class_separation",
-               "informative_elements", "noise_elements", "seed"}
-_TRAIN_KEYS = {"hidden_dims", "dropout_rate", "l2_coeff", "learning_rate",
-               "phase1_epochs", "max_total_epochs", "patience", "val_fraction",
-               "seed", "folds"}
 _BASELINE_NAMES = {kind.value for kind in BaselineKind}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 class ConfigError(ValueError):
@@ -57,37 +54,45 @@ class RunConfig:
     subsets: list[list[str]] | None
 
 
-def _parse_synth(raw) -> SynthConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("data.synth", "must be an object")
-    unknown = set(raw) - _SYNTH_KEYS
-    if unknown:
-        raise ConfigError(f"data.synth.{sorted(unknown)[0]}", "unknown key")
-    kwargs = dict(raw)
-    if "informative_elements" in kwargs:
-        kwargs["informative_elements"] = tuple(
-            (str(name), float(corr)) for name, corr in kwargs["informative_elements"])
-    if "noise_elements" in kwargs:
-        kwargs["noise_elements"] = tuple(str(n) for n in kwargs["noise_elements"])
-    try:
-        return SynthConfig(**kwargs)
-    except (DataError, TypeError, ValueError) as err:
-        raise ConfigError("data.synth", str(err)) from None
+def _typed(field: str, value, kind):
+    """``value`` checked against the dataclass field type ``kind``: an int,
+    float or str, or a tuple of them written as a JSON list. A bool is never
+    a number and a float never an int."""
+    if get_origin(kind) is tuple:
+        kinds = get_args(kind)
+        variadic = kinds[-1] is Ellipsis
+        if not isinstance(value, list) or not (variadic
+                                                or len(value) == len(kinds)):
+            size = "" if variadic else f" of {len(kinds)} items"
+            raise ConfigError(field, f"must be a list{size}, "
+                                     f"got {json.dumps(value)}")
+        if variadic:
+            kinds = kinds[:1] * len(value)
+        return tuple(_typed(f"{field}[{i}]", item, item_kind)
+                     for i, (item, item_kind) in enumerate(zip(value, kinds)))
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise ConfigError(field, f"must be {_TYPE_NAMES[kind]}, "
+                                 f"got {json.dumps(value)}")
+    return value
 
 
-def _parse_train(raw) -> TrainConfig:
+def _parse_dataclass(path: str, raw, cls, skip=()):
+    """Build dataclass ``cls`` from a JSON object whose allowed keys and
+    value types are the fields of ``cls`` not in ``skip``."""
     if not isinstance(raw, dict):
-        raise ConfigError("train", "must be an object")
-    unknown = set(raw) - _TRAIN_KEYS
+        raise ConfigError(path, "must be an object")
+    kinds = {name: kind for name, kind in get_type_hints(cls).items()
+             if name not in skip}
+    unknown = set(raw) - set(kinds)
     if unknown:
-        raise ConfigError(f"train.{sorted(unknown)[0]}", "unknown key")
-    kwargs = dict(raw)
-    if "hidden_dims" in kwargs:
-        kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
+        raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
+    kwargs = {key: _typed(f"{path}.{key}", value, kinds[key])
+              for key, value in raw.items()}
     try:
-        return TrainConfig(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ConfigError("train", str(err)) from None
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ConfigError(path, str(err)) from None
 
 
 def _parse_edge_rules(raw) -> list[dict]:
@@ -100,11 +105,9 @@ def _parse_edge_rules(raw) -> list[dict]:
         kind = entry.get("kind", THRESHOLD)
         if kind not in (THRESHOLD, EQUALITY):
             raise ConfigError(f"edge_rules[{i}].kind", f"unknown kind {kind!r}")
-        try:
-            beta = None if entry.get("beta") is None else float(entry["beta"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"edge_rules[{i}].beta",
-                              f"not a number: {entry['beta']!r}") from None
+        beta = entry.get("beta")
+        if beta is not None:
+            beta = float(_typed(f"edge_rules[{i}].beta", beta, float))
         if kind == THRESHOLD and (beta is None or beta <= 0):
             raise ConfigError(f"edge_rules[{i}].beta",
                               "threshold rules need beta > 0")
@@ -136,9 +139,12 @@ def parse_run_config(raw) -> RunConfig:
     if has_paths == has_synth:
         raise ConfigError(
             "data", "exactly one of csv paths or a synth recipe is required")
-    synth = _parse_synth(data["synth"]) if has_synth else None
+    synth = (_parse_dataclass("data.synth", data["synth"], SynthConfig)
+             if has_synth else None)
     paths = ({key: str(data[key]) for key in path_keys} if has_paths else None)
-    train = _parse_train(raw.get("train", {}))
+    # edge rules are the top-level "edge_rules" block, not a train key
+    train = _parse_dataclass("train", raw.get("train", {}), TrainConfig,
+                             skip=("edge_rules",))
     rules = _parse_edge_rules(raw.get("edge_rules", []))
     compare = raw.get("compare", {})
     if not isinstance(compare, dict):
@@ -189,23 +195,12 @@ def resolve_edge_rules(dataset: Dataset, specs) -> list[EdgeRule]:
     return rules
 
 
-def ablate_graph_subsets(dataset: Dataset, config: TrainConfig, subsets,
-                         props=None, full_report=None) -> dict:
-    """Cross-validate the model restricted to each requested graph subset.
-
-    Subsets are lists of element names; keys of the returned mapping join the
-    names in dataset element order with "+". All subsets share the fold
-    splits and per-fold seeds of ``config.seed``. Each subset trains on its
-    slice of ``props``, the operators of the config's resolved edge rules
-    (built here when omitted). A subset of every rule in order is the run of
-    ``config`` itself: its report is ``full_report`` when one is given.
-    """
-    rules = rules_or_defaults(dataset, config.edge_rules)
-    if props is None:
-        props = build_propagation_matrices(dataset, rules)
+def _resolve_subsets(dataset: Dataset, rules, subsets) -> dict:
+    """Map each subset's report key to the positions of its rules in
+    ``rules``; the key joins the names in dataset element order with "+"."""
     position = {dataset.element_names[rule.element_index]: i
                 for i, rule in enumerate(rules)}
-    reports = {}
+    resolved = {}
     for subset in subsets:
         if not subset:
             raise ConfigError("compare.subsets", "empty graph subset")
@@ -214,8 +209,28 @@ def ablate_graph_subsets(dataset: Dataset, config: TrainConfig, subsets,
                 raise ConfigError("compare.subsets",
                                   f"unknown element {name!r}")
         names = [name for name in dataset.element_names if name in set(subset)]
-        chosen = [position[name] for name in names]
-        key = "+".join(names)
+        resolved["+".join(names)] = [position[name] for name in names]
+    return resolved
+
+
+def ablate_graph_subsets(dataset: Dataset, config: TrainConfig, subsets,
+                         props=None, full_report=None) -> dict:
+    """Cross-validate the model restricted to each requested graph subset.
+
+    Subsets are lists of element names, all checked before any training;
+    keys of the returned mapping join the names in dataset element order
+    with "+". All subsets share the fold splits and per-fold seeds of
+    ``config.seed``. Each subset trains on its slice of ``props``, the
+    operators of the config's resolved edge rules (built here when omitted).
+    A subset of every rule in order is the run of ``config`` itself: its
+    report is ``full_report`` when one is given.
+    """
+    rules = rules_or_defaults(dataset, config.edge_rules)
+    resolved = _resolve_subsets(dataset, rules, subsets)
+    if props is None:
+        props = build_propagation_matrices(dataset, rules)
+    reports = {}
+    for key, chosen in resolved.items():
         if chosen == list(range(len(rules))) and full_report is not None:
             reports[key] = full_report
         else:
@@ -257,10 +272,8 @@ def _apply_overrides(run: RunConfig, args) -> RunConfig:
             train = replace(train, folds=args.folds)
         except ValueError as err:
             raise ConfigError("train.folds", str(err)) from None
-    out = getattr(args, "out", None) or run.out
-    return RunConfig(synth=synth, data_paths=run.data_paths, train=train,
-                     edge_rule_specs=run.edge_rule_specs, out=out,
-                     baselines=run.baselines, subsets=run.subsets)
+    return replace(run, synth=synth, train=train,
+                   out=getattr(args, "out", None) or run.out)
 
 
 def cmd_synth(args) -> int:
@@ -330,15 +343,20 @@ def cmd_compare(args) -> int:
         subsets = [part.split("+") for part in args.subsets.split(",") if part]
     if subsets is None:
         subsets = _default_subsets(dataset)
+    _resolve_subsets(dataset, rules, subsets)  # fail before any training
     affinities = build_affinity_matrices(dataset, rules)
     props = [normalize_affinity(a) for a in affinities]
+    # only avg_gcn reads the affinities: keep their average, not them
+    averaged = (averaged_propagation(affinities)
+                if "avg_gcn" in run.baselines else None)
+    del affinities
     proposed = run_cv(dataset, config, props).to_dict()
     report = {
         "config": proposed["config"],
         "split_hash": proposed["split_hash"],
         "proposed": proposed,
         "baselines": {name: run_baseline_cv(dataset, config,
-                                            BaselineKind(name), affinities)
+                                            BaselineKind(name), averaged)
                       for name in run.baselines},
         "subsets": ablate_graph_subsets(dataset, config, subsets, props,
                                         proposed),

@@ -1,14 +1,19 @@
 """Multi-branch graph convolution: forward pass, fused output, exact gradients.
 
-Each demographic element's graph drives one branch of stacked graph-convolution
-layers over the shared feature matrix. A trainable scalar per branch combines
-the branch logits linearly before a row-wise softmax. The backward pass is
-written directly against the dense matrix operations and is verified against
-central finite differences.
+Each demographic element's graph drives one branch of graph-convolution
+layers over the shared feature matrix. All branches share the layer widths,
+so a layer's filters are one (M, d_in, d_out) array, and forward, backward
+and the optimizer loop over layers only. A layer kernel applies the M N x N
+operators one branch at a time, so no (M, N, d) operator product is held.
+Trainable scalars omega fuse the (M, N, K) branch logits linearly before a
+row-wise softmax. Inputs are checked once, where they enter (``ModelParams``,
+``model_forward``); nothing in the epoch loop scans an array to validate it.
+The hand-written backward pass is verified against finite differences.
 """
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -22,89 +27,66 @@ REL_ERR_FLOOR = 1e-3
 
 
 @dataclass
-class BranchParams:
-    """Trainable filter matrices of one branch, input to output order."""
-
-    layer_weights: list[np.ndarray]
-
-    def __post_init__(self):
-        self.layer_weights = [np.asarray(w, dtype=np.float64)
-                              for w in self.layer_weights]
-        if not self.layer_weights:
-            raise ValueError("a branch needs at least one layer")
-        for earlier, later in zip(self.layer_weights, self.layer_weights[1:]):
-            if earlier.shape[1] != later.shape[0]:
-                raise ValueError(
-                    f"layer dimensions do not chain: {earlier.shape} "
-                    f"then {later.shape}")
-        if any(not np.all(np.isfinite(w)) for w in self.layer_weights):
-            raise ValueError("layer weights must be finite")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_weights)
-
-    def copy(self) -> "BranchParams":
-        return BranchParams([w.copy() for w in self.layer_weights])
-
-
-@dataclass
 class ModelParams:
-    """All branch filters plus the per-branch fusion weights omega."""
+    """Filters of every branch, one (M, d_in, d_out) array per layer in input
+    to output order, plus the per-branch fusion weights omega, shape (M,)."""
 
-    branches: list[BranchParams]
+    layers: list[np.ndarray]
     omega: np.ndarray
 
     def __post_init__(self):
+        self.layers = [np.asarray(w, dtype=np.float64) for w in self.layers]
         self.omega = np.asarray(self.omega, dtype=np.float64)
-        if not self.branches:
-            raise ValueError("need at least one branch")
-        if self.omega.shape != (len(self.branches),):
-            raise ValueError(
-                f"{len(self.branches)} branches need omega of that length, "
-                f"got shape {self.omega.shape}")
-        if not np.all(np.isfinite(self.omega)):
-            raise ValueError("omega must be finite")
+        if not self.layers or self.omega.ndim != 1 or not self.omega.size:
+            raise ValueError("need at least one layer and a vector omega")
+        for w in self.layers:
+            if w.ndim != 3 or w.shape[0] != self.omega.size:
+                raise ValueError(f"omega of length {self.omega.size} needs "
+                                 f"(M, d_in, d_out) layers with M equal to "
+                                 f"it, got a layer of shape {w.shape}")
+        for earlier, later in zip(self.layers, self.layers[1:]):
+            if earlier.shape[2] != later.shape[1]:
+                raise ValueError(
+                    f"layer dimensions do not chain: {earlier.shape} "
+                    f"then {later.shape}")
+        if not all(np.all(np.isfinite(w)) for w in [*self.layers, self.omega]):
+            raise ValueError("layer weights and omega must be finite")
 
     @property
     def n_branches(self) -> int:
-        return len(self.branches)
+        return self.omega.size
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.layers)
 
     def copy(self) -> "ModelParams":
-        return ModelParams([b.copy() for b in self.branches], self.omega.copy())
-
-
-@dataclass
-class BranchTrace:
-    """Intermediates of one branch needed by the backward pass."""
-
-    layer_inputs: list[np.ndarray]    # activation entering each layer, pre-dropout
-    dropout_masks: list[np.ndarray]   # inverted-scaling masks; all-ones off training
-    preactivations: list[np.ndarray]  # prop @ (input * mask) @ theta, per layer
-    logits: np.ndarray
+        """Deep copy; a copy of checked parameters is not checked again."""
+        return copy.deepcopy(self)
 
 
 @dataclass
 class ForwardTrace:
-    """Everything one forward pass produced, enough to backpropagate exactly."""
+    """Everything one forward pass produced, enough to backpropagate exactly.
 
-    branches: list[BranchTrace]
+    Per layer: the (M, N, d) input before dropout (for the first layer a
+    broadcast view of the shared features, not a copy), the (M, N, d)
+    inverted-scaling dropout masks (None when nothing was dropped), and the
+    (M, N, d_out) preactivations ``P_m @ (input_m * mask_m) @ theta_m``. The
+    last layer's preactivations are the branch logits.
+    """
+
     props: list[PropagationMatrix]
+    layer_inputs: list[np.ndarray]
+    dropout_masks: list[np.ndarray | None]
+    preactivations: list[np.ndarray]
     fused_logits: np.ndarray
     probabilities: np.ndarray
 
-    def __post_init__(self):
-        if len(self.branches) != len(self.props):
-            raise ValueError("one propagation matrix per branch trace required")
-        if self.fused_logits.shape != self.probabilities.shape:
-            raise ValueError("fused logits and probabilities must share a shape")
-        for i, branch in enumerate(self.branches):
-            if branch.logits.shape != self.fused_logits.shape:
-                raise ValueError(f"branch {i} logits shape {branch.logits.shape} "
-                                 f"!= fused {self.fused_logits.shape}")
-        row_sums = self.probabilities.sum(axis=1)
-        if not np.allclose(row_sums, 1.0, atol=1e-9):
-            raise ValueError("probability rows must sum to 1")
+    @property
+    def logits(self) -> np.ndarray:
+        """(M, N, K) branch logits."""
+        return self.preactivations[-1]
 
 
 def glorot_uniform(shape, rng) -> np.ndarray:
@@ -115,78 +97,48 @@ def glorot_uniform(shape, rng) -> np.ndarray:
 
 def init_params(n_features: int, hidden_dims, n_classes: int, n_branches: int,
                 rng) -> ModelParams:
-    """Glorot-uniform branch filters and uniform fusion weights 1/M."""
+    """Glorot-uniform filters and uniform fusion weights 1/M.
+
+    Filters are drawn branch by branch, each branch input to output.
+    """
     dims = [n_features, *hidden_dims, n_classes]
-    branches = [
-        BranchParams([glorot_uniform((dims[i], dims[i + 1]), rng)
-                      for i in range(len(dims) - 1)])
-        for _ in range(n_branches)
-    ]
-    return ModelParams(branches=branches,
+    layers = [np.empty((n_branches, d_in, d_out))
+              for d_in, d_out in zip(dims, dims[1:])]
+    for m in range(n_branches):
+        for theta in layers:
+            theta[m] = glorot_uniform(theta.shape[1:], rng)
+    return ModelParams(layers=layers,
                        omega=np.full(n_branches, 1.0 / n_branches))
 
 
-def gc_layer_forward(prop: PropagationMatrix, activations, theta,
-                     apply_relu: bool) -> np.ndarray:
-    """One graph convolution: propagate, filter, optionally rectify."""
-    activations = np.asarray(activations, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    if activations.shape[0] != prop.n_nodes or activations.shape[1] != theta.shape[0]:
-        raise ValueError(
-            f"shapes do not chain: prop {prop.matrix.shape}, "
-            f"activations {activations.shape}, theta {theta.shape}")
-    out = prop.matrix @ activations @ theta
-    return np.maximum(out, 0.0) if apply_relu else out
+def gc_layer_forward(props, hidden, masks, theta) -> np.ndarray:
+    """One graph convolution on every branch, before the activation.
 
-
-def _dropout_mask(shape, rate: float, rng) -> np.ndarray:
-    if rate == 0.0:
-        return np.ones(shape)
-    return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
-def branch_forward(prop: PropagationMatrix, features, params: BranchParams,
-                   dropout_rate: float = 0.0, rng=None, training: bool = False):
-    """Run one branch; returns (logits, trace).
-
-    During training every layer input (the feature matrix included) is dropped
-    out with inverted scaling, so inference needs no rescaling. The final
-    layer emits raw logits; hidden layers are rectified.
+    ``out[m] = P_m @ (hidden[m] * masks[m]) @ theta[m]`` for an (M, N, d)
+    ``hidden``; ``masks`` is None when nothing is dropped. Branches run one
+    at a time, so only one (N, d) product is live.
     """
-    if training and dropout_rate > 0.0 and rng is None:
-        raise ValueError("training with dropout needs an rng")
-    hidden = np.asarray(features, dtype=np.float64)
-    inputs, masks, preacts = [], [], []
-    last = params.n_layers - 1
-    for i, theta in enumerate(params.layer_weights):
-        mask = (_dropout_mask(hidden.shape, dropout_rate, rng)
-                if training else np.ones(hidden.shape))
-        pre = gc_layer_forward(prop, hidden * mask, theta, apply_relu=False)
-        inputs.append(hidden)
-        masks.append(mask)
-        preacts.append(pre)
-        hidden = np.maximum(pre, 0.0) if i != last else pre
-    trace = BranchTrace(layer_inputs=inputs, dropout_masks=masks,
-                        preactivations=preacts, logits=hidden)
-    return hidden, trace
+    out = np.empty((theta.shape[0], hidden.shape[1], theta.shape[2]))
+    for m, prop in enumerate(props):
+        dropped = hidden[m] if masks is None else hidden[m] * masks[m]
+        out[m] = prop.matrix @ dropped @ theta[m]
+    return out
 
 
-def fuse_logits(branch_logits, omega) -> np.ndarray:
-    """Linear combination sum_m omega_m * logits_m."""
-    if len(branch_logits) == 0:
-        raise ValueError("no branch logits to fuse")
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.shape != (len(branch_logits),):
-        raise ValueError(
-            f"{len(branch_logits)} branches but omega shape {omega.shape}")
-    shape = branch_logits[0].shape
-    for i, logits in enumerate(branch_logits):
-        if logits.shape != shape:
-            raise ValueError(f"branch {i} logits shape {logits.shape} != {shape}")
-    fused = np.zeros(shape)
-    for weight, logits in zip(omega, branch_logits):
-        fused += weight * logits
-    return fused
+def _layer_backward(props, hidden, masks, grad_out):
+    """Backward counterpart of ``gc_layer_forward``, one branch at a time.
+
+    Returns ``propagated[m] = P_m @ grad_out[m]`` (each P is exactly
+    symmetric, so this is ``P_m.T @ grad_out[m]``) and the data part of the
+    filter gradient, ``(hidden[m] * masks[m]).T @ propagated[m]``.
+    """
+    propagated = np.empty_like(grad_out)
+    theta_grad = np.empty((len(props), hidden.shape[2], grad_out.shape[2]))
+    for m, prop in enumerate(props):
+        dropped = hidden[m] if masks is None else hidden[m] * masks[m]
+        propagated[m] = prop.matrix @ grad_out[m]
+        theta_grad[m] = dropped.T @ propagated[m]
+    return propagated, theta_grad
 
 
 def softmax_rows(scores) -> np.ndarray:
@@ -230,34 +182,57 @@ def weighted_cross_entropy(probabilities, labels, mask, class_weights) -> float:
 
 def model_forward(props, features, params: ModelParams, dropout_rate: float = 0.0,
                   rng=None, training: bool = False) -> ForwardTrace:
-    """Forward pass over all branches, fused into row-stochastic probabilities."""
+    """Forward pass over all branches, fused into row-stochastic probabilities.
+
+    During training every layer input (the feature matrix included) is
+    dropped out with inverted scaling, so inference needs no rescaling.
+    Hidden layers are rectified; the last layer emits raw branch logits,
+    fused as ``sum_m omega_m * logits_m``.
+    """
+    features = np.asarray(features, dtype=np.float64)
     if len(props) != params.n_branches:
         raise ValueError(
             f"{len(props)} propagation matrices for {params.n_branches} branches")
-    traces, logits = [], []
-    for prop, branch in zip(props, params.branches):
-        out, trace = branch_forward(prop, features, branch, dropout_rate, rng,
-                                    training)
-        traces.append(trace)
-        logits.append(out)
-    fused = fuse_logits(logits, params.omega)
-    return ForwardTrace(branches=traces, props=list(props), fused_logits=fused,
-                        probabilities=softmax_rows(fused))
+    if (features.ndim != 2 or features.shape[0] != props[0].n_nodes
+            or features.shape[1] != params.layers[0].shape[1]):
+        raise ValueError(
+            f"shapes do not chain: prop {props[0].matrix.shape}, "
+            f"features {features.shape}, first layer {params.layers[0].shape}")
+    masks = [None] * params.n_layers
+    if training and dropout_rate > 0.0:
+        if rng is None:
+            raise ValueError("training with dropout needs an rng")
+        # inverted-scaling masks, drawn branch by branch, input to output
+        masks = [np.empty((w.shape[0], len(features), w.shape[1]))
+                 for w in params.layers]
+        for m in range(params.n_branches):
+            for mask in masks:
+                np.divide(rng.random(mask.shape[1:]) >= dropout_rate,
+                          1.0 - dropout_rate, out=mask[m])
+    hidden = np.broadcast_to(features, (params.n_branches, *features.shape))
+    inputs, preacts = [], []
+    for theta, mask in zip(params.layers, masks):
+        pre = gc_layer_forward(props, hidden, mask, theta)
+        inputs.append(hidden)
+        preacts.append(pre)
+        hidden = np.maximum(pre, 0.0)
+    fused = np.sum(params.omega[:, None, None] * preacts[-1], axis=0)
+    return ForwardTrace(props=list(props), layer_inputs=inputs,
+                        dropout_masks=masks, preactivations=preacts,
+                        fused_logits=fused, probabilities=softmax_rows(fused))
 
 
 @dataclass
 class Gradients:
     """Gradients laid out exactly like ModelParams."""
 
-    branches: list[list[np.ndarray]]
+    layers: list[np.ndarray]
     omega: np.ndarray
 
 
 def regularization_term(params: ModelParams, l2_coeff: float) -> float:
     """l2_coeff times the squared Frobenius norm of every filter (omega exempt)."""
-    return l2_coeff * sum(float(np.sum(w * w))
-                          for branch in params.branches
-                          for w in branch.layer_weights)
+    return l2_coeff * sum(float(np.sum(w * w)) for w in params.layers)
 
 
 def compute_gradients(trace: ForwardTrace, labels, mask, class_weights,
@@ -273,13 +248,9 @@ def compute_gradients(trace: ForwardTrace, labels, mask, class_weights,
     weights = np.asarray(class_weights, dtype=np.float64)
     if mask.size == 0:
         raise ValueError("mask is empty")
-    if len(trace.branches) != params.n_branches:
-        raise ValueError(
-            f"trace has {len(trace.branches)} branches, params "
-            f"{params.n_branches}")
-    for m, (bt, bp) in enumerate(zip(trace.branches, params.branches)):
-        if len(bt.layer_inputs) != bp.n_layers:
-            raise ValueError(f"branch {m} trace depth does not match params")
+    if (len(trace.preactivations), len(trace.props)) != (params.n_layers,
+                                                         params.n_branches):
+        raise ValueError("trace layers or branches do not match params")
 
     n, k = trace.probabilities.shape
     picked = labels[mask]
@@ -289,39 +260,21 @@ def compute_gradients(trace: ForwardTrace, labels, mask, class_weights,
     d_fused[mask] = (weights[picked] / mask.size)[:, None] * (
         trace.probabilities[mask] - one_hot)
 
-    omega_grad = np.array([np.sum(d_fused * bt.logits) for bt in trace.branches])
+    omega_grad = np.array([np.sum(d_fused * logits) for logits in trace.logits])
 
-    branch_grads = []
-    for m, (branch, bt, prop) in enumerate(
-            zip(params.branches, trace.branches, trace.props)):
-        grad_out = params.omega[m] * d_fused
-        layer_grads: list[np.ndarray] = [np.empty(0)] * branch.n_layers
-        for i in range(branch.n_layers - 1, -1, -1):
-            dropped = bt.layer_inputs[i] * bt.dropout_masks[i]
-            # prop is exactly symmetric, so prop.T @ g == prop @ g
-            propagated = prop.matrix @ grad_out
-            layer_grads[i] = (dropped.T @ propagated
-                              + 2.0 * l2_coeff * branch.layer_weights[i])
-            if i > 0:
-                d_dropped = propagated @ branch.layer_weights[i].T
-                grad_out = (d_dropped * bt.dropout_masks[i]
-                            * (bt.preactivations[i - 1] > 0))
-        branch_grads.append(layer_grads)
-    return Gradients(branches=branch_grads, omega=omega_grad)
-
-
-def _param_tensor(params: ModelParams, key):
-    if key[0] == "omega":
-        return params.omega
-    _, m, i = key
-    return params.branches[m].layer_weights[i]
-
-
-def _grad_tensor(grads: Gradients, key):
-    if key[0] == "omega":
-        return grads.omega
-    _, m, i = key
-    return grads.branches[m][i]
+    grad_out = params.omega[:, None, None] * d_fused
+    layer_grads: list[np.ndarray] = [np.empty(0)] * params.n_layers
+    for i in range(params.n_layers - 1, -1, -1):
+        theta, masks = params.layers[i], trace.dropout_masks[i]
+        propagated, theta_grad = _layer_backward(
+            trace.props, trace.layer_inputs[i], masks, grad_out)
+        layer_grads[i] = theta_grad + 2.0 * l2_coeff * theta
+        if i > 0:
+            d_dropped = propagated @ theta.transpose(0, 2, 1)
+            if masks is not None:
+                d_dropped = d_dropped * masks
+            grad_out = d_dropped * (trace.preactivations[i - 1] > 0)
+    return Gradients(layers=layer_grads, omega=omega_grad)
 
 
 def finite_diff_check(dataset, params: ModelParams, config, seed,
@@ -359,11 +312,12 @@ def finite_diff_check(dataset, params: ModelParams, config, seed,
                           training=True)
     analytic = compute_gradients(trace, labels, mask, weights, l2, params)
 
-    coords = []
-    for m, branch in enumerate(params.branches):
-        for i, w in enumerate(branch.layer_weights):
-            coords.extend((("theta", m, i), flat) for flat in range(w.size))
-    coords.extend((("omega",), flat) for flat in range(params.omega.size))
+    work = params.copy()
+    # every filter layer, then omega; analytic gradients in the same order
+    tensors = [*work.layers, work.omega]
+    exact_grads = [*analytic.layers, analytic.omega]
+    coords = [(t, flat) for t, tensor in enumerate(tensors)
+              for flat in range(tensor.size)]
     if n_coords is not None and n_coords < len(coords):
         if n_coords <= 0:
             coords = []
@@ -375,10 +329,9 @@ def finite_diff_check(dataset, params: ModelParams, config, seed,
                       stacklevel=2)
         return 0.0
 
-    work = params.copy()
     max_err = 0.0
-    for key, flat in coords:
-        tensor = _param_tensor(work, key)
+    for t, flat in coords:
+        tensor = tensors[t]
         original = tensor.flat[flat]
         tensor.flat[flat] = original + step
         upper = objective(work)
@@ -386,7 +339,7 @@ def finite_diff_check(dataset, params: ModelParams, config, seed,
         lower = objective(work)
         tensor.flat[flat] = original
         numeric = (upper - lower) / (2.0 * step)
-        exact = _grad_tensor(analytic, key).flat[flat]
+        exact = exact_grads[t].flat[flat]
         denom = max(abs(exact), abs(numeric), REL_ERR_FLOOR)
         max_err = max(max_err, abs(exact - numeric) / denom)
     return max_err

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -195,9 +195,8 @@ def train_model(dataset: Dataset, props, config: TrainConfig, seed,
             raise TrainingError(f"non-finite training loss at epoch {epoch}")
         grads = compute_gradients(trace, labels, opt_idx, weights,
                                   config.l2_coeff, params)
-        for m, branch in enumerate(params.branches):
-            for i, theta in enumerate(branch.layer_weights):
-                optimizer.update(("theta", m, i), theta, grads.branches[m][i])
+        for i, (theta, grad) in enumerate(zip(params.layers, grads.layers)):
+            optimizer.update(("theta", i), theta, grad)
         if phase2:
             optimizer.update(("omega",), params.omega, grads.omega)
 
@@ -282,18 +281,9 @@ def _rules_to_dicts(rules, element_names) -> list[dict]:
 
 def config_to_dict(config: TrainConfig, rules=None, element_names=None) -> dict:
     """JSON-ready echo of a training configuration."""
-    out = {
-        "hidden_dims": list(config.hidden_dims),
-        "dropout_rate": config.dropout_rate,
-        "l2_coeff": config.l2_coeff,
-        "learning_rate": config.learning_rate,
-        "phase1_epochs": config.phase1_epochs,
-        "max_total_epochs": config.max_total_epochs,
-        "patience": config.patience,
-        "val_fraction": config.val_fraction,
-        "seed": config.seed,
-        "folds": config.folds,
-    }
+    out = {field.name: getattr(config, field.name) for field in fields(config)
+           if field.name != "edge_rules"}
+    out["hidden_dims"] = list(config.hidden_dims)
     if rules is not None and element_names is not None:
         out["edge_rules"] = _rules_to_dicts(rules, element_names)
     return out

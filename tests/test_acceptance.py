@@ -91,10 +91,10 @@ def test_criterion_2_fusion_collapses_to_single_branch():
         informative_elements=(("informative", 0.8),),
         noise_elements=("noise",), seed=ACC_SEED))
     prop = popgcn.build_propagation_matrices(ds)[0]
-    branch = popgcn.init_params(ds.n_features, (16,), ds.n_classes, 1,
-                                rng).branches[0]
-    single = popgcn.ModelParams([branch], np.array([1.0]))
-    tied = popgcn.ModelParams([branch.copy() for _ in range(3)],
+    layers = popgcn.init_params(ds.n_features, (16,), ds.n_classes, 1,
+                                rng).layers
+    single = popgcn.ModelParams(layers, np.array([1.0]))
+    tied = popgcn.ModelParams([np.repeat(w, 3, axis=0) for w in layers],
                               np.array([0.2, 0.3, 0.5]))
     single_probs = popgcn.model_forward([prop], ds.features,
                                         single).probabilities

@@ -50,7 +50,7 @@ class TestZeroWeightChanceLevel:
         # the uniform-predictor value ln K regardless of the mask
         ds = quick_dataset()
         params = popgcn.ModelParams(
-            [popgcn.BranchParams([np.zeros((ds.n_features, ds.n_classes))])],
+            [np.zeros((1, ds.n_features, ds.n_classes))],
             np.array([1.0]))
         trace = popgcn.model_forward([popgcn.identity_propagation(ds.n_nodes)],
                                      ds.features, params)

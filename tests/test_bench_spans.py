@@ -31,3 +31,27 @@ def test_traced_name_resolves_in_its_home_module(home, attr):
 def test_traced_modules_import():
     for name in spans.MODULES:
         importlib.import_module(name)
+
+
+def test_traced_run_counts_one_span_per_call():
+    # a model signature change that mislabels spans (e.g. training read from
+    # the wrong argument) or a layer loop that runs per branch shows here
+    import popgcn
+    from helpers import quick_config, quick_dataset
+
+    ds = quick_dataset()
+    config = quick_config(folds=2, hidden_dims=(6, 4))
+    with spans.Tracer().install() as tracer:
+        report = popgcn.run_cv(ds, config)
+    names = [span[0] for span in tracer.spans]
+    epochs = sum(fold["stopped_epoch"] for fold in report.folds)
+    forwards = names.count("model.forward_train") + \
+        names.count("model.forward_eval")
+    assert names.count("model.forward_train") == epochs
+    assert names.count("model.forward_eval") == epochs + config.folds
+    n_layers = len(config.hidden_dims) + 1
+    assert names.count("model.layer") == n_layers * forwards
+    # one Adam step per layer each epoch, plus omega's in phase two
+    phase2 = sum(max(0, fold["stopped_epoch"] - config.phase1_epochs)
+                 for fold in report.folds)
+    assert names.count("train.adam") == n_layers * epochs + phase2

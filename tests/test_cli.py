@@ -109,6 +109,21 @@ class TestParseRunConfig:
     ({"compare": {"baselines": "linear"}}, "compare.baselines"),
     ({"compare": {"baselines": [{}]}}, "compare.baselines"),
     ({"edge_rules": [{"element": "age", "beta": "abc"}]}, "edge_rules[0].beta"),
+    ({"train": {**QUICK_TRAIN, "hidden_dims": "16"}}, "train.hidden_dims"),
+    ({"train": {**QUICK_TRAIN, "hidden_dims": 16}}, "train.hidden_dims"),
+    ({"train": {**QUICK_TRAIN, "hidden_dims": [16.0]}},
+     "train.hidden_dims[0]"),
+    ({"train": {**QUICK_TRAIN, "dropout_rate": False}}, "train.dropout_rate"),
+    ({"train": {**QUICK_TRAIN, "max_total_epochs": 20.5}},
+     "train.max_total_epochs"),
+    ({"train": {**QUICK_TRAIN, "seed": 1.5}}, "train.seed"),
+    ({"data": {"synth": {**SYNTH_RECIPE, "informative_elements": 5}}},
+     "data.synth.informative_elements"),
+    ({"data": {"synth": {**SYNTH_RECIPE,
+                         "informative_elements": [["a", 0.9, 1]]}}},
+     "data.synth.informative_elements[0]"),
+    ({"data": {"synth": {**SYNTH_RECIPE, "n_nodes": True}}},
+     "data.synth.n_nodes"),
 ])
 def test_malformed_field_named_through_main(tmp_path, capsys, extra, field):
     config = write_config(tmp_path, **extra)
@@ -306,6 +321,60 @@ class TestCompareCommand:
                      "--subsets", "bogus"])
         assert code == 1
         assert "unknown element" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, extra", [
+        (["--subsets", "informative,bogus"], {}),
+        ([], {"compare": {"subsets": [["informative"], ["bogus"]]}}),
+    ])
+    def test_unknown_subset_fails_before_training(self, tmp_path, capsys,
+                                                  monkeypatch, flag, extra):
+        calls = []
+        original = popgcn.train.train_model
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(popgcn.train, "train_model", counted)
+        code = main(["compare", "--config", write_config(tmp_path, **extra),
+                     *flag])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: config: compare.subsets: ")
+        assert calls == []
+
+    def test_affinities_averaged_once_before_training(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # the affinities are averaged right after the build, so that only
+        # the operators stay alive while models train
+        trained, averaged_at = [], []
+        train_model = popgcn.train.train_model
+        averaged_propagation = popgcn.cli.averaged_propagation
+
+        def counted_train(*args, **kwargs):
+            trained.append(1)
+            return train_model(*args, **kwargs)
+
+        def counted_average(affinities):
+            averaged_at.append(len(trained))
+            return averaged_propagation(affinities)
+
+        monkeypatch.setattr(popgcn.train, "train_model", counted_train)
+        monkeypatch.setattr(popgcn.cli, "averaged_propagation", counted_average)
+        monkeypatch.setattr(popgcn.baselines, "averaged_propagation",
+                            counted_average)
+        out = tmp_path / "compare.json"
+        assert main(["compare", "--config", write_config(tmp_path),
+                     "--subsets", "informative", "--out", str(out)]) == 0
+        assert averaged_at == [0]
+        direct = popgcn.run_baseline_cv(
+            popgcn.generate_synthetic(popgcn.SynthConfig(**SYNTH_RECIPE)),
+            popgcn.TrainConfig(**QUICK_TRAIN),
+            popgcn.BaselineKind.AVERAGED_GRAPH_GCN)
+        report = json.loads(out.read_text())
+        assert strip_wall_clock(report["baselines"]["avg_gcn"]) == \
+            strip_wall_clock(direct)
 
     def test_unknown_baseline_flag_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path)

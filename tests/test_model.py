@@ -10,22 +10,35 @@ def identity_prop(n: int) -> popgcn.PropagationMatrix:
     return popgcn.PropagationMatrix(np.eye(n))
 
 
+def stacked(branches, omega) -> popgcn.ModelParams:
+    """ModelParams from per-branch filter lists, input to output order."""
+    return popgcn.ModelParams([np.stack(ws) for ws in zip(*branches)], omega)
+
+
 class TestParams:
     def test_init_shapes_and_uniform_omega(self):
         rng = np.random.default_rng(0)
         params = popgcn.init_params(8, (16, 4), 3, n_branches=4, rng=rng)
         assert params.n_branches == 4
-        for branch in params.branches:
-            assert [w.shape for w in branch.layer_weights] == \
-                [(8, 16), (16, 4), (4, 3)]
+        assert [w.shape for w in params.layers] == \
+            [(4, 8, 16), (4, 16, 4), (4, 4, 3)]
         assert np.array_equal(params.omega, np.full(4, 0.25))
 
     def test_init_deterministic(self):
         a = popgcn.init_params(5, (7,), 2, 3, np.random.default_rng(42))
         b = popgcn.init_params(5, (7,), 2, 3, np.random.default_rng(42))
-        for ba, bb in zip(a.branches, b.branches):
-            for wa, wb in zip(ba.layer_weights, bb.layer_weights):
-                assert np.array_equal(wa, wb)
+        for wa, wb in zip(a.layers, b.layers):
+            assert np.array_equal(wa, wb)
+
+    def test_init_draws_branch_by_branch(self):
+        # each branch's filters, input to output, then the next branch: the
+        # draw order every report of a seed depends on
+        params = popgcn.init_params(5, (4,), 3, 2, np.random.default_rng(21))
+        reference = np.random.default_rng(21)
+        for m in range(2):
+            for i, shape in enumerate([(5, 4), (4, 3)]):
+                expected = popgcn.glorot_uniform(shape, reference)
+                assert np.array_equal(params.layers[i][m], expected)
 
     def test_glorot_bound(self):
         rng = np.random.default_rng(1)
@@ -35,47 +48,72 @@ class TestParams:
 
     def test_rejects_unchained_layers(self):
         with pytest.raises(ValueError, match="chain"):
-            popgcn.BranchParams([np.zeros((4, 7)), np.zeros((6, 2))])
+            popgcn.ModelParams([np.zeros((1, 4, 7)), np.zeros((1, 6, 2))],
+                               np.array([1.0]))
 
     def test_rejects_omega_length_mismatch(self):
-        branch = popgcn.BranchParams([np.zeros((2, 2))])
-        with pytest.raises(ValueError):
-            popgcn.ModelParams([branch, branch.copy()], np.array([1.0]))
+        layers = [np.zeros((2, 2, 2))]
+        for omega in (np.array([1.0]), np.array([0.3, 0.3, 0.4])):
+            with pytest.raises(ValueError, match="omega"):
+                popgcn.ModelParams(layers, omega)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            popgcn.ModelParams([np.full((1, 2, 2), np.nan)], np.array([1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            popgcn.ModelParams([np.zeros((1, 2, 2))], np.array([np.inf]))
 
     def test_copy_is_deep(self):
         params = popgcn.init_params(3, (), 2, 1, np.random.default_rng(0))
         clone = params.copy()
-        clone.branches[0].layer_weights[0][0, 0] += 1.0
+        clone.layers[0][0, 0, 0] += 1.0
         clone.omega[0] += 1.0
-        assert params.branches[0].layer_weights[0][0, 0] != \
-            clone.branches[0].layer_weights[0][0, 0]
+        assert params.layers[0][0, 0, 0] != clone.layers[0][0, 0, 0]
         assert params.omega[0] == 1.0
 
 
 class TestLayerForward:
     def test_identity_prop_identity_theta(self):
         acts = np.array([[1.0, -2.0], [3.0, 4.0]])
-        out = popgcn.gc_layer_forward(identity_prop(2), acts, np.eye(2),
-                                      apply_relu=False)
-        assert np.array_equal(out, acts)
+        out = popgcn.gc_layer_forward([identity_prop(2)], acts[None], None,
+                                      np.eye(2)[None])
+        assert np.array_equal(out, acts[None])
 
     def test_relu_clamps_negatives(self):
-        acts = np.array([[1.0, -2.0], [-3.0, 4.0]])
-        out = popgcn.gc_layer_forward(identity_prop(2), acts, np.eye(2),
-                                      apply_relu=True)
-        assert np.array_equal(out, [[1.0, 0.0], [0.0, 4.0]])
+        # hidden layers are rectified before they enter the next layer; the
+        # stored preactivations keep their sign
+        feats = np.array([[1.0, -2.0], [-3.0, 4.0]])
+        params = popgcn.ModelParams([np.eye(2)[None], np.eye(2)[None]],
+                                    np.array([1.0]))
+        trace = popgcn.model_forward([identity_prop(2)], feats, params)
+        assert np.array_equal(trace.preactivations[0][0], feats)
+        assert np.array_equal(trace.layer_inputs[1][0],
+                              [[1.0, 0.0], [0.0, 4.0]])
 
     def test_propagation_hand_case(self):
         # averaging operator: both rows become the mean 3, filtered by theta=3
         prop = popgcn.PropagationMatrix(np.full((2, 2), 0.5))
-        out = popgcn.gc_layer_forward(prop, [[2.0], [4.0]], [[3.0]],
-                                      apply_relu=False)
-        assert np.allclose(out, [[9.0], [9.0]])
+        out = popgcn.gc_layer_forward([prop], np.array([[[2.0], [4.0]]]),
+                                      None, np.array([[[3.0]]]))
+        assert np.allclose(out, [[[9.0], [9.0]]])
+
+    def test_each_branch_uses_its_operator_input_and_mask(self):
+        rng = np.random.default_rng(16)
+        props = [identity_prop(4), popgcn.PropagationMatrix(np.full((4, 4), 0.25))]
+        hidden = rng.standard_normal((2, 4, 3))
+        masks = rng.integers(0, 2, size=(2, 4, 3)) * 2.0
+        theta = rng.standard_normal((2, 3, 5))
+        out = popgcn.gc_layer_forward(props, hidden, masks, theta)
+        for m in range(2):
+            expected = props[m].matrix @ (hidden[m] * masks[m]) @ theta[m]
+            assert np.array_equal(out[m], expected)
 
     def test_shape_mismatch_rejected(self):
+        params = popgcn.ModelParams([np.zeros((1, 4, 2))], np.array([1.0]))
         with pytest.raises(ValueError, match="chain"):
-            popgcn.gc_layer_forward(identity_prop(2), np.zeros((2, 3)),
-                                    np.zeros((4, 2)), apply_relu=False)
+            popgcn.model_forward([identity_prop(2)], np.zeros((2, 3)), params)
+        with pytest.raises(ValueError, match="chain"):
+            popgcn.model_forward([identity_prop(3)], np.zeros((2, 4)), params)
 
 
 class TestBranchForward:
@@ -83,71 +121,94 @@ class TestBranchForward:
         rng = np.random.default_rng(2)
         feats = rng.standard_normal((5, 4))
         prop = identity_prop(5)
-        params = popgcn.BranchParams([rng.standard_normal((4, 3)),
-                                      rng.standard_normal((3, 2))])
-        logits, trace = popgcn.branch_forward(prop, feats, params)
-        hidden = popgcn.gc_layer_forward(prop, feats, params.layer_weights[0],
-                                         apply_relu=True)
-        expected = popgcn.gc_layer_forward(prop, hidden, params.layer_weights[1],
-                                           apply_relu=False)
-        assert np.array_equal(logits, expected)
-        assert np.array_equal(trace.logits, expected)
+        first, second = rng.standard_normal((4, 3)), rng.standard_normal((3, 2))
+        trace = popgcn.model_forward([prop], feats,
+                                     stacked([[first, second]], [1.0]))
+        expected = prop.matrix @ np.maximum(prop.matrix @ feats @ first, 0.0) \
+            @ second
+        assert np.array_equal(trace.logits[0], expected)
+        assert np.array_equal(trace.fused_logits, expected)
 
     def test_final_layer_keeps_negative_logits(self):
-        params = popgcn.BranchParams([np.array([[-1.0], [0.0]])])
-        logits, _ = popgcn.branch_forward(identity_prop(2),
-                                          [[2.0, 0.0], [3.0, 0.0]], params)
-        assert np.array_equal(logits, [[-2.0], [-3.0]])
+        params = popgcn.ModelParams([np.array([[[-1.0], [0.0]]])],
+                                    np.array([1.0]))
+        trace = popgcn.model_forward([identity_prop(2)],
+                                     [[2.0, 0.0], [3.0, 0.0]], params)
+        assert np.array_equal(trace.logits[0], [[-2.0], [-3.0]])
 
     def test_training_dropout_needs_rng(self):
-        params = popgcn.BranchParams([np.eye(2)])
+        params = popgcn.ModelParams([np.eye(2)[None]], np.array([1.0]))
         with pytest.raises(ValueError, match="rng"):
-            popgcn.branch_forward(identity_prop(2), np.eye(2), params,
-                                  dropout_rate=0.5, training=True)
+            popgcn.model_forward([identity_prop(2)], np.eye(2), params,
+                                 dropout_rate=0.5, training=True)
 
     def test_dropout_masks_inverted_scaling(self):
         rng = np.random.default_rng(3)
-        params = popgcn.BranchParams([np.eye(3)])
-        _, trace = popgcn.branch_forward(identity_prop(3), np.ones((3, 3)),
-                                         params, dropout_rate=0.5, rng=rng,
-                                         training=True)
-        mask = trace.dropout_masks[0]
-        assert set(np.unique(mask)) <= {0.0, 2.0}
+        params = popgcn.ModelParams([np.eye(3)[None]] * 2, np.array([1.0]))
+        trace = popgcn.model_forward([identity_prop(3)], np.ones((3, 3)),
+                                     params, dropout_rate=0.5, rng=rng,
+                                     training=True)
+        for mask in trace.dropout_masks:
+            assert set(np.unique(mask)) <= {0.0, 2.0}
+
+    def test_dropout_masks_drawn_branch_by_branch(self):
+        # each branch's masks, input to output, then the next branch: the
+        # draw order every report of a seed depends on
+        feats = np.random.default_rng(17).standard_normal((6, 4))
+        props = [identity_prop(6), popgcn.PropagationMatrix(np.full((6, 6), 1 / 6))]
+        params = popgcn.init_params(4, (3,), 2, 2, np.random.default_rng(18))
+        trace = popgcn.model_forward(props, feats, params, dropout_rate=0.4,
+                                     rng=np.random.default_rng(19),
+                                     training=True)
+        reference = np.random.default_rng(19)
+        for m in range(2):
+            for i, width in enumerate((4, 3)):
+                expected = (reference.random((6, width)) >= 0.4) / 0.6
+                assert np.array_equal(trace.dropout_masks[i][m], expected)
 
     def test_zero_rate_training_equals_inference(self):
         rng = np.random.default_rng(4)
         feats = rng.standard_normal((6, 3))
-        params = popgcn.BranchParams([rng.standard_normal((3, 2))])
-        train_logits, train_trace = popgcn.branch_forward(
-            identity_prop(6), feats, params, dropout_rate=0.0,
+        params = popgcn.ModelParams([rng.standard_normal((1, 3, 2))],
+                                    np.array([1.0]))
+        train_trace = popgcn.model_forward(
+            [identity_prop(6)], feats, params, dropout_rate=0.0,
             rng=np.random.default_rng(0), training=True)
-        eval_logits, _ = popgcn.branch_forward(identity_prop(6), feats, params)
-        assert np.array_equal(train_logits, eval_logits)
-        assert np.all(train_trace.dropout_masks[0] == 1.0)
+        eval_trace = popgcn.model_forward([identity_prop(6)], feats, params)
+        assert np.array_equal(train_trace.logits, eval_trace.logits)
+        assert train_trace.dropout_masks == [None]
 
 
 class TestFusion:
+    @staticmethod
+    def _fuse(branch_logits, omega):
+        # one node with feature 1: each branch's 1 x K filter is its logits
+        params = popgcn.ModelParams([np.array(branch_logits)[:, None, :]],
+                                    np.array(omega))
+        props = [identity_prop(1)] * len(branch_logits)
+        return popgcn.model_forward(props, [[1.0]], params).fused_logits
+
     def test_linear_combination_hand_case(self):
-        fused = popgcn.fuse_logits([np.array([[1.0, 2.0]]),
-                                    np.array([[3.0, 4.0]])],
-                                   np.array([0.5, 0.25]))
+        fused = self._fuse([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.25])
         assert np.allclose(fused, [[1.25, 2.0]])
 
     def test_negative_weights_allowed(self):
-        fused = popgcn.fuse_logits([np.array([[2.0]]), np.array([[1.0]])],
-                                   np.array([1.0, -1.0]))
+        fused = self._fuse([[2.0], [1.0]], [1.0, -1.0])
         assert np.allclose(fused, [[1.0]])
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            popgcn.fuse_logits([np.zeros((2, 2))], np.array([0.5, 0.5]))
-
     def test_identical_branches_collapse_to_scaling(self):
-        # M copies of the same logits fused with uniform 1/M weights must
-        # reproduce the single-branch output
-        logits = np.array([[0.3, -1.2], [2.0, 0.1]])
-        fused = popgcn.fuse_logits([logits] * 4, np.full(4, 0.25))
-        assert np.allclose(fused, logits, atol=1e-15)
+        # M tied branches fused with uniform 1/M weights must reproduce the
+        # single-branch output
+        rng = np.random.default_rng(20)
+        feats = rng.standard_normal((5, 3))
+        first, second = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+        prop = popgcn.PropagationMatrix(np.full((5, 5), 0.2))
+        single = popgcn.model_forward([prop], feats,
+                                      stacked([[first, second]], [1.0]))
+        tied = popgcn.model_forward([prop] * 4, feats,
+                                    stacked([[first, second]] * 4,
+                                            np.full(4, 0.25)))
+        assert np.allclose(tied.fused_logits, single.fused_logits, atol=1e-15)
 
 
 class TestSoftmax:
@@ -242,8 +303,8 @@ class TestModelForward:
         params = popgcn.init_params(ds.n_features, (5,), ds.n_classes,
                                     len(props), np.random.default_rng(9))
         trace = popgcn.model_forward(props, ds.features, params)
-        manual = sum(w * bt.logits
-                     for w, bt in zip(params.omega, trace.branches))
+        manual = sum(w * logits
+                     for w, logits in zip(params.omega, trace.logits))
         assert np.allclose(trace.fused_logits, manual, atol=1e-15)
         assert np.allclose(trace.probabilities,
                            popgcn.softmax_rows(trace.fused_logits))
@@ -256,46 +317,39 @@ class TestModelForward:
         with pytest.raises(ValueError):
             popgcn.model_forward(props, ds.features, params)
 
-    def test_trace_rejects_bad_probability_rows(self):
-        logits = np.zeros((2, 2))
-        branch = popgcn.BranchTrace([np.zeros((2, 2))], [np.ones((2, 2))],
-                                    [logits], logits)
-        with pytest.raises(ValueError, match="sum to 1"):
-            popgcn.ForwardTrace([branch], [identity_prop(2)], logits,
-                                np.array([[0.9, 0.9], [0.5, 0.5]]))
-
 
 class TestRegularization:
     def test_hand_value(self):
         theta = np.array([[1.0, 2.0], [3.0, 0.0]])
-        params = popgcn.ModelParams([popgcn.BranchParams([theta])],
-                                    np.array([1.0]))
+        params = popgcn.ModelParams([theta[None]], np.array([1.0]))
         assert popgcn.regularization_term(params, 0.5) == pytest.approx(7.0)
 
     def test_omega_exempt(self):
-        theta = np.zeros((2, 2))
-        params = popgcn.ModelParams([popgcn.BranchParams([theta])],
-                                    np.array([100.0]))
+        params = popgcn.ModelParams([np.zeros((1, 2, 2))], np.array([100.0]))
         assert popgcn.regularization_term(params, 1.0) == 0.0
 
 
 class TestGradients:
+    @staticmethod
+    def _one_layer_trace(feats, logits, probs):
+        return popgcn.ForwardTrace(
+            props=[identity_prop(len(feats))], layer_inputs=[feats[None]],
+            dropout_masks=[None], preactivations=[logits[None]],
+            fused_logits=logits, probabilities=probs)
+
     def test_perfect_predictions_leave_only_regularizer(self):
         # with probabilities exactly one-hot the data term vanishes, so the
         # filter gradient must be exactly 2 * l2 * theta and omega's exactly 0
         theta = np.array([[0.5, -1.0], [2.0, 0.25]])
         feats = np.array([[1.0, 2.0], [3.0, 4.0]])
         logits = np.array([[5.0, -5.0], [-5.0, 5.0]])
-        branch = popgcn.BranchTrace([feats], [np.ones((2, 2))], [logits],
-                                    logits)
-        trace = popgcn.ForwardTrace([branch], [identity_prop(2)], logits,
-                                    np.array([[1.0, 0.0], [0.0, 1.0]]))
-        params = popgcn.ModelParams([popgcn.BranchParams([theta])],
-                                    np.array([1.0]))
+        trace = self._one_layer_trace(feats, logits,
+                                      np.array([[1.0, 0.0], [0.0, 1.0]]))
+        params = popgcn.ModelParams([theta[None]], np.array([1.0]))
         grads = popgcn.compute_gradients(trace, np.array([0, 1]),
                                          np.array([0, 1]),
                                          np.array([1.0, 1.0]), 0.01, params)
-        assert np.array_equal(grads.branches[0][0], 2 * 0.01 * theta)
+        assert np.array_equal(grads.layers[0][0], 2 * 0.01 * theta)
         assert np.array_equal(grads.omega, [0.0])
 
     def test_omega_gradient_scalar_oracle(self):
@@ -303,13 +357,8 @@ class TestGradients:
         # w0 * ((p0 - 1) * z0 + p1 * z1) with z the branch logits
         logits = np.array([[1.0, 2.0]])
         probs = popgcn.softmax_rows(logits)
-        feats = np.array([[1.0, 1.0]])
-        branch = popgcn.BranchTrace([feats], [np.ones((1, 2))], [logits],
-                                    logits)
-        trace = popgcn.ForwardTrace([branch], [identity_prop(1)], logits,
-                                    probs)
-        params = popgcn.ModelParams([popgcn.BranchParams([np.eye(2)])],
-                                    np.array([1.0]))
+        trace = self._one_layer_trace(np.array([[1.0, 1.0]]), logits, probs)
+        params = popgcn.ModelParams([np.eye(2)[None]], np.array([1.0]))
         weights = np.array([2.0, 1.0])
         grads = popgcn.compute_gradients(trace, np.array([0]), np.array([0]),
                                          weights, 0.0, params)
@@ -333,9 +382,8 @@ class TestGradients:
         g_eval = popgcn.compute_gradients(eval_trace, ds.labels, mask,
                                           weights, 1e-3, params)
         assert np.array_equal(g_train.omega, g_eval.omega)
-        for bt, be in zip(g_train.branches, g_eval.branches):
-            for gt, ge in zip(bt, be):
-                assert np.array_equal(gt, ge)
+        for gt, ge in zip(g_train.layers, g_eval.layers):
+            assert np.array_equal(gt, ge)
 
     def test_trace_param_mismatch_rejected(self):
         ds = quick_dataset()
@@ -343,7 +391,8 @@ class TestGradients:
         params = popgcn.init_params(ds.n_features, (6,), ds.n_classes,
                                     len(props), np.random.default_rng(0))
         trace = popgcn.model_forward(props, ds.features, params)
-        lone = popgcn.ModelParams([params.branches[0]], np.array([1.0]))
+        lone = popgcn.ModelParams([w[:1] for w in params.layers],
+                                  np.array([1.0]))
         with pytest.raises(ValueError):
             popgcn.compute_gradients(trace, ds.labels, np.arange(ds.n_nodes),
                                      popgcn.class_weights(

@@ -115,9 +115,8 @@ class TestTrainModel:
         b = popgcn.train_model(ds, props, config, seed=3)
         assert json.dumps(a.history) == json.dumps(b.history)
         assert np.array_equal(a.params.omega, b.params.omega)
-        for ba, bb in zip(a.params.branches, b.params.branches):
-            for wa, wb in zip(ba.layer_weights, bb.layer_weights):
-                assert np.array_equal(wa, wb)
+        for wa, wb in zip(a.params.layers, b.params.layers):
+            assert np.array_equal(wa, wb)
 
     def test_omega_frozen_through_first_phase(self):
         ds = quick_dataset()
@@ -190,8 +189,7 @@ class TestTrainModel:
 
 class TestEvaluate:
     def _oracle_model(self):
-        params = popgcn.ModelParams([popgcn.BranchParams([np.eye(3)])],
-                                    np.array([1.0]))
+        params = popgcn.ModelParams([np.eye(3)[None]], np.array([1.0]))
         props = [popgcn.PropagationMatrix(np.eye(3))]
         return popgcn.TrainedModel(params=params, props=props, history=[],
                                    stopped_epoch=0, best_epoch=-1)
