@@ -196,6 +196,15 @@ class TestFusion:
         fused = self._fuse([[2.0], [1.0]], [1.0, -1.0])
         assert np.allclose(fused, [[1.0]])
 
+    def test_length_mismatch_rejected(self):
+        # one branch of logits cannot be fused with two weights
+        with pytest.raises(ValueError, match="omega"):
+            self._fuse([[0.0, 0.0]], [0.5, 0.5])
+        # nor two branches of filters fused over one branch of propagation
+        params = popgcn.ModelParams([np.zeros((2, 1, 2))], np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="branches"):
+            popgcn.model_forward([identity_prop(1)], [[1.0]], params)
+
     def test_identical_branches_collapse_to_scaling(self):
         # M tied branches fused with uniform 1/M weights must reproduce the
         # single-branch output
