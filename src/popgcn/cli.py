@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -20,16 +21,16 @@ import numpy as np
 from .baselines import BaselineKind, averaged_propagation, run_baseline_cv
 from .data import (DataError, Dataset, SynthConfig, generate_synthetic,
                    load_dataset, save_dataset)
-from .graph import (EQUALITY, THRESHOLD, EdgeRule, GraphError,
-                    build_affinity_matrices, build_propagation_matrices,
-                    default_edge_rules, graph_statistics, normalize_affinity,
-                    rules_or_defaults)
+from .graph import (EdgeRule, GraphError, build_affinity_matrices,
+                    build_propagation_matrices, default_edge_rules,
+                    graph_statistics, normalize_affinity, rules_or_defaults)
 from .model import finite_diff_check, init_params
 from .train import TrainConfig, TrainingError, run_cv
 
 GRADCHECK_TOLERANCE = 1e-5
 
 _BASELINE_NAMES = {kind.value for kind in BaselineKind}
+_DATA_PATHS = ("features", "labels", "demographics")
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
@@ -48,7 +49,7 @@ class RunConfig:
     synth: SynthConfig | None
     data_paths: dict[str, str] | None
     train: TrainConfig
-    edge_rule_specs: list[dict]
+    edge_rules: tuple[EdgeRule, ...]
     out: str | None
     baselines: list[str]
     subsets: list[list[str]] | None
@@ -56,8 +57,13 @@ class RunConfig:
 
 def _typed(field: str, value, kind):
     """``value`` checked against the dataclass field type ``kind``: an int,
-    float or str, or a tuple of them written as a JSON list. A bool is never
-    a number and a float never an int."""
+    float or str, an optional one that may be null, or a tuple of them
+    written as a JSON list. A bool is never a number and a float never an
+    int."""
+    if get_origin(kind) is UnionType:  # "float | None"
+        if value is None:
+            return None
+        kind = get_args(kind)[0]
     if get_origin(kind) is tuple:
         kinds = get_args(kind)
         variadic = kinds[-1] is Ellipsis
@@ -74,46 +80,55 @@ def _typed(field: str, value, kind):
             value, (int, float) if kind is float else kind):
         raise ConfigError(field, f"must be {_TYPE_NAMES[kind]}, "
                                  f"got {json.dumps(value)}")
+    # NaN, the infinities and ints too large for a float fail this
+    if kind is not str and not abs(value) <= sys.float_info.max:
+        raise ConfigError(field, f"must be a finite number, "
+                                 f"got {json.dumps(value)}")
     return value
+
+
+def _check_keys(path: str, raw, keys) -> dict:
+    """``raw``, checked to be a JSON object with no key outside ``keys``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(path, "must be an object")
+    unknown = sorted(set(raw) - set(keys), key=str)
+    if unknown:
+        prefix = "" if path == "$" else f"{path}."
+        raise ConfigError(f"{prefix}{unknown[0]}", "unknown key")
+    return raw
 
 
 def _parse_dataclass(path: str, raw, cls, skip=()):
     """Build dataclass ``cls`` from a JSON object whose allowed keys and
-    value types are the fields of ``cls`` not in ``skip``."""
-    if not isinstance(raw, dict):
-        raise ConfigError(path, "must be an object")
+    value types are the fields of ``cls`` not in ``skip``; a field with no
+    default is required."""
     kinds = {name: kind for name, kind in get_type_hints(cls).items()
              if name not in skip}
-    unknown = set(raw) - set(kinds)
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
+    _check_keys(path, raw, kinds)
+    for field in fields(cls):
+        if field.default is MISSING and field.name not in raw:
+            raise ConfigError(f"{path}.{field.name}", "missing")
     kwargs = {key: _typed(f"{path}.{key}", value, kinds[key])
               for key, value in raw.items()}
     try:
         return cls(**kwargs)
-    except ValueError as err:
-        raise ConfigError(path, str(err)) from None
+    except ValueError as err:  # an EdgeRule error names its field
+        name = getattr(err, "field", None)
+        raise ConfigError(f"{path}.{name}" if name else path,
+                          str(err)) from None
 
 
-def _parse_edge_rules(raw) -> list[dict]:
+def _parse_edge_rules(raw) -> tuple[EdgeRule, ...]:
     if not isinstance(raw, list):
         raise ConfigError("edge_rules", "must be a list")
-    specs = []
+    rules = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or "element" not in entry:
-            raise ConfigError(f"edge_rules[{i}].element", "missing element name")
-        kind = entry.get("kind", THRESHOLD)
-        if kind not in (THRESHOLD, EQUALITY):
-            raise ConfigError(f"edge_rules[{i}].kind", f"unknown kind {kind!r}")
-        beta = entry.get("beta")
-        if beta is not None:
-            beta = float(_typed(f"edge_rules[{i}].beta", beta, float))
-        if kind == THRESHOLD and (beta is None or beta <= 0):
-            raise ConfigError(f"edge_rules[{i}].beta",
-                              "threshold rules need beta > 0")
-        specs.append({"element": str(entry["element"]), "kind": kind,
-                      "beta": beta})
-    return specs
+        rule = _parse_dataclass(f"edge_rules[{i}]", entry, EdgeRule)
+        if any(rule.element == earlier.element for earlier in rules):
+            raise ConfigError(f"edge_rules[{i}].element",
+                              f"a second rule for {rule.element!r}")
+        rules.append(rule)
+    return tuple(rules)
 
 
 def _check_baselines(field: str, names) -> list:
@@ -128,27 +143,23 @@ def _check_baselines(field: str, names) -> list:
 
 def parse_run_config(raw) -> RunConfig:
     """Validate a raw config object; errors name the offending field."""
-    if not isinstance(raw, dict):
-        raise ConfigError("$", "config must be a JSON object")
-    data = raw.get("data")
-    if not isinstance(data, dict):
-        raise ConfigError("data", "missing data source")
-    path_keys = ("features", "labels", "demographics")
-    has_paths = all(key in data for key in path_keys)
+    _check_keys("$", raw, ("data", "train", "edge_rules", "compare", "out"))
+    data = _check_keys("data", raw.get("data"), (*_DATA_PATHS, "synth"))
     has_synth = "synth" in data
-    if has_paths == has_synth:
+    if has_synth == any(key in data for key in _DATA_PATHS):
         raise ConfigError(
             "data", "exactly one of csv paths or a synth recipe is required")
     synth = (_parse_dataclass("data.synth", data["synth"], SynthConfig)
              if has_synth else None)
-    paths = ({key: str(data[key]) for key in path_keys} if has_paths else None)
+    paths = (None if has_synth else
+             {key: _typed(f"data.{key}", data.get(key), str)
+              for key in _DATA_PATHS})
     # edge rules are the top-level "edge_rules" block, not a train key
     train = _parse_dataclass("train", raw.get("train", {}), TrainConfig,
                              skip=("edge_rules",))
     rules = _parse_edge_rules(raw.get("edge_rules", []))
-    compare = raw.get("compare", {})
-    if not isinstance(compare, dict):
-        raise ConfigError("compare", "must be an object")
+    compare = _check_keys("compare", raw.get("compare", {}),
+                          ("baselines", "subsets"))
     baselines = _check_baselines(
         "compare.baselines", compare.get("baselines", sorted(_BASELINE_NAMES)))
     subsets = compare.get("subsets")
@@ -157,10 +168,11 @@ def parse_run_config(raw) -> RunConfig:
                 or not all(isinstance(s, list) and s for s in subsets)):
             raise ConfigError("compare.subsets",
                               "must be a list of non-empty name lists")
-        subsets = [[str(n) for n in subset] for subset in subsets]
-    out = raw.get("out")
+        for i, subset in enumerate(subsets):
+            _typed(f"compare.subsets[{i}]", subset, tuple[str, ...])
     return RunConfig(synth=synth, data_paths=paths, train=train,
-                     edge_rule_specs=rules, out=None if out is None else str(out),
+                     edge_rules=rules,
+                     out=_typed("out", raw.get("out"), str | None),
                      baselines=list(baselines), subsets=subsets)
 
 
@@ -170,36 +182,27 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError("$", f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also ints past the str conversion limit
         raise ConfigError("$", f"invalid JSON: {err}") from None
     return parse_run_config(raw)
 
 
-def materialize_dataset(config: RunConfig) -> Dataset:
-    if config.synth is not None:
-        return generate_synthetic(config.synth)
-    paths = config.data_paths
-    return load_dataset(paths["features"], paths["labels"],
-                        paths["demographics"])
-
-
-def resolve_edge_rules(dataset: Dataset, specs) -> list[EdgeRule]:
-    """Per-element defaults with named overrides applied on top."""
-    rules = default_edge_rules(dataset)
-    for i, spec in enumerate(specs):
-        try:
-            index = dataset.element_index(spec["element"])
-        except DataError as err:
-            raise ConfigError(f"edge_rules[{i}].element", str(err)) from None
-        rules[index] = EdgeRule(index, spec["kind"], spec["beta"])
-    return rules
+def resolve_edge_rules(dataset: Dataset, overrides) -> list[EdgeRule]:
+    """Per-element defaults, each replaced by the override for its element."""
+    rules = {rule.element: rule for rule in default_edge_rules(dataset)}
+    for i, rule in enumerate(overrides):
+        if rule.element not in rules:
+            raise ConfigError(f"edge_rules[{i}].element",
+                              f"unknown element {rule.element!r}; "
+                              f"available: {list(rules)}")
+        rules[rule.element] = rule
+    return list(rules.values())
 
 
 def _resolve_subsets(dataset: Dataset, rules, subsets) -> dict:
     """Map each subset's report key to the positions of its rules in
     ``rules``; the key joins the names in dataset element order with "+"."""
-    position = {dataset.element_names[rule.element_index]: i
-                for i, rule in enumerate(rules)}
+    position = {rule.element: i for i, rule in enumerate(rules)}
     resolved = {}
     for subset in subsets:
         if not subset:
@@ -259,21 +262,36 @@ def _write_report(report: dict, out_path: str | None) -> str | None:
     return str(path)
 
 
-def _apply_overrides(run: RunConfig, args) -> RunConfig:
-    """Fold --seed/--folds/--out flags into the parsed config."""
-    train = run.train
-    synth = run.synth
+def _set_up(args) -> tuple[RunConfig, Dataset, TrainConfig]:
+    """Load ``--config``, fold in the --seed, --folds, --out, --baselines and
+    --subsets flags, materialize the dataset and resolve its edge rules into
+    the train config."""
+    run = load_run_config(args.config)
     if getattr(args, "seed", None) is not None:
-        train = replace(train, seed=args.seed)
-        if synth is not None:
-            synth = replace(synth, seed=args.seed)
+        try:
+            run.train = replace(run.train, seed=args.seed)
+        except ValueError as err:
+            raise ConfigError("train.seed", str(err)) from None
+        if run.synth is not None:
+            run.synth = replace(run.synth, seed=args.seed)
     if getattr(args, "folds", None) is not None:
         try:
-            train = replace(train, folds=args.folds)
+            run.train = replace(run.train, folds=args.folds)
         except ValueError as err:
             raise ConfigError("train.folds", str(err)) from None
-    return replace(run, synth=synth, train=train,
-                   out=getattr(args, "out", None) or run.out)
+    run.out = getattr(args, "out", None) or run.out
+    if getattr(args, "baselines", None) is not None:
+        run.baselines = _check_baselines(
+            "--baselines", [n for n in args.baselines.split(",") if n])
+    if getattr(args, "subsets", None) is not None:
+        run.subsets = [part.split("+")
+                       for part in args.subsets.split(",") if part]
+    paths = run.data_paths
+    dataset = (generate_synthetic(run.synth) if paths is None
+               else load_dataset(paths["features"], paths["labels"],
+                                 paths["demographics"]))
+    rules = resolve_edge_rules(dataset, run.edge_rules)
+    return run, dataset, replace(run.train, edge_rules=tuple(rules))
 
 
 def cmd_synth(args) -> int:
@@ -304,10 +322,8 @@ def _parse_informative_flag(spec: str) -> tuple[str, float]:
 
 
 def cmd_graph_stats(args) -> int:
-    run = _apply_overrides(load_run_config(args.config), args)
-    dataset = materialize_dataset(run)
-    rules = resolve_edge_rules(dataset, run.edge_rule_specs)
-    affinities = build_affinity_matrices(dataset, rules)
+    run, dataset, config = _set_up(args)
+    affinities = build_affinity_matrices(dataset, config.edge_rules)
     report = {"n_nodes": dataset.n_nodes,
               "graphs": [graph_statistics(a) for a in affinities]}
     written = _write_report(report, run.out)
@@ -317,10 +333,7 @@ def cmd_graph_stats(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    run = _apply_overrides(load_run_config(args.config), args)
-    dataset = materialize_dataset(run)
-    rules = resolve_edge_rules(dataset, run.edge_rule_specs)
-    config = replace(run.train, edge_rules=tuple(rules))
+    run, dataset, config = _set_up(args)
     report = run_cv(dataset, config).to_dict()
     written = _write_report(report, run.out)
     tail = f" -> {written}" if written else ""
@@ -331,20 +344,11 @@ def cmd_cv(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    run = _apply_overrides(load_run_config(args.config), args)
-    if args.baselines is not None:
-        run.baselines = _check_baselines(
-            "--baselines", [n for n in args.baselines.split(",") if n])
-    dataset = materialize_dataset(run)
-    rules = resolve_edge_rules(dataset, run.edge_rule_specs)
-    config = replace(run.train, edge_rules=tuple(rules))
-    subsets = run.subsets
-    if args.subsets is not None:
-        subsets = [part.split("+") for part in args.subsets.split(",") if part]
-    if subsets is None:
-        subsets = _default_subsets(dataset)
-    _resolve_subsets(dataset, rules, subsets)  # fail before any training
-    affinities = build_affinity_matrices(dataset, rules)
+    run, dataset, config = _set_up(args)
+    subsets = (_default_subsets(dataset) if run.subsets is None
+               else run.subsets)
+    _resolve_subsets(dataset, config.edge_rules, subsets)  # fail early
+    affinities = build_affinity_matrices(dataset, config.edge_rules)
     props = [normalize_affinity(a) for a in affinities]
     # only avg_gcn reads the affinities: keep their average, not them
     averaged = (averaged_propagation(affinities)

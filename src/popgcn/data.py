@@ -155,6 +155,8 @@ class SynthConfig:
         names = [n for n, _ in informative] + list(noise)
         if len(set(names)) != len(names):
             raise DataError("element names must be unique")
+        if self.seed < 0:
+            raise DataError("seed must be nonnegative")
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:

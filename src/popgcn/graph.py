@@ -23,29 +23,38 @@ MAX_CATEGORICAL_LEVELS = 10
 
 
 class GraphError(ValueError):
-    """Invalid graph-construction input."""
+    """Invalid graph-construction input; ``field`` names the offending
+    ``EdgeRule`` field, when there is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
 class EdgeRule:
-    """How one demographic element's column turns into edges.
+    """How the column of the demographic element ``element`` turns into edges.
 
     ``threshold`` connects subjects whose values differ by less than ``beta``;
-    ``equality`` connects subjects whose values match exactly.
+    ``equality`` connects subjects whose values match exactly and ignores
+    ``beta``. A given ``beta`` is stored as a float and must be finite.
     """
 
-    element_index: int
+    element: str
     kind: str = THRESHOLD
     beta: float | None = None
 
     def __post_init__(self):
         if self.kind not in (THRESHOLD, EQUALITY):
-            raise GraphError(f"unknown edge rule kind {self.kind!r}")
-        if self.element_index < 0:
-            raise GraphError("element_index must be nonnegative")
-        if self.kind == THRESHOLD:
-            if self.beta is None or not np.isfinite(self.beta) or self.beta <= 0:
-                raise GraphError(f"threshold rules need beta > 0, got {self.beta}")
+            raise GraphError(f"unknown edge rule kind {self.kind!r}", "kind")
+        if self.beta is not None:
+            object.__setattr__(self, "beta", float(self.beta))
+            if not np.isfinite(self.beta):
+                raise GraphError(f"beta must be finite, got {self.beta}",
+                                 "beta")
+        if self.kind == THRESHOLD and (self.beta is None or self.beta <= 0):
+            raise GraphError(
+                f"threshold rules need beta > 0, got {self.beta}", "beta")
 
 
 @dataclass(frozen=True)
@@ -182,16 +191,15 @@ def default_edge_rules(dataset: Dataset) -> list[EdgeRule]:
     standard deviation.
     """
     rules = []
-    for m, name in enumerate(dataset.element_names):
-        column = dataset.demographics[:, m]
+    for name, column in zip(dataset.element_names, dataset.demographics.T):
         distinct = np.unique(column).size
         if name.lower() == "age":
-            rules.append(EdgeRule(m, THRESHOLD, AGE_BETA))
+            rules.append(EdgeRule(name, THRESHOLD, AGE_BETA))
         elif distinct == 1 or (np.all(column == np.round(column))
                                and distinct <= MAX_CATEGORICAL_LEVELS):
-            rules.append(EdgeRule(m, EQUALITY))
+            rules.append(EdgeRule(name, EQUALITY))
         else:
-            rules.append(EdgeRule(m, THRESHOLD,
+            rules.append(EdgeRule(name, THRESHOLD,
                                   CONTINUOUS_BETA_FACTOR * float(column.std())))
     return rules
 
@@ -204,20 +212,17 @@ def rules_or_defaults(dataset: Dataset, rules) -> list[EdgeRule]:
 def build_affinity_matrices(dataset: Dataset, rules=None) -> list[AffinityMatrix]:
     """One similarity-weighted graph per rule (defaults: one rule per element).
 
-    The similarity matrix is computed once and shared across all graphs.
+    The similarity matrix is computed once and shared across all graphs. A
+    rule naming no element of ``dataset`` is a ``DataError``.
     """
     if rules is None:
         rules = default_edge_rules(dataset)
     sim = similarity_matrix(dataset.features)
     matrices = []
     for rule in rules:
-        if not 0 <= rule.element_index < dataset.n_elements:
-            raise GraphError(
-                f"edge rule references element {rule.element_index}, but the "
-                f"dataset has {dataset.n_elements} elements")
-        edges = build_edge_matrix(dataset.demographics[:, rule.element_index], rule)
+        column = dataset.demographics[:, dataset.element_index(rule.element)]
         matrices.append(build_affinity(
-            sim, edges, dataset.element_names[rule.element_index]))
+            sim, build_edge_matrix(column, rule), rule.element))
     return matrices
 
 

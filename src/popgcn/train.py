@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -67,6 +67,8 @@ class TrainConfig:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 class Adam:
@@ -274,18 +276,11 @@ def split_hash(folds) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _rules_to_dicts(rules, element_names) -> list[dict]:
-    return [{"element": element_names[rule.element_index], "kind": rule.kind,
-             "beta": rule.beta} for rule in rules]
-
-
-def config_to_dict(config: TrainConfig, rules=None, element_names=None) -> dict:
-    """JSON-ready echo of a training configuration."""
-    out = {field.name: getattr(config, field.name) for field in fields(config)
-           if field.name != "edge_rules"}
+def config_to_dict(config: TrainConfig) -> dict:
+    """JSON-ready echo of a training configuration, edge rules included."""
+    out = asdict(config)
     out["hidden_dims"] = list(config.hidden_dims)
-    if rules is not None and element_names is not None:
-        out["edge_rules"] = _rules_to_dicts(rules, element_names)
+    out["edge_rules"] = list(out["edge_rules"])
     return out
 
 
@@ -365,6 +360,6 @@ def run_cv(dataset: Dataset, config: TrainConfig, props=None) -> CVReport:
             "stopped_epoch": model.stopped_epoch,
         }
 
-    echo = config_to_dict(config, rules, dataset.element_names)
+    echo = config_to_dict(replace(config, edge_rules=rules))
     return CVReport(config=echo,
                     **_cross_validate(dataset, config, props, fold_entry))

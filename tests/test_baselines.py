@@ -36,7 +36,8 @@ class TestPropagationVariants:
         # avg_gcn over one explicit rule is the single-graph model on that
         # rule's graph, so both cross-validations score the same
         ds = quick_dataset()
-        config = quick_config(edge_rules=(popgcn.EdgeRule(0, popgcn.EQUALITY),))
+        config = quick_config(
+            edge_rules=(popgcn.EdgeRule("informative", popgcn.EQUALITY),))
         baseline = popgcn.run_baseline_cv(ds, config,
                                           BaselineKind.AVERAGED_GRAPH_GCN)
         model = popgcn.run_cv(ds, config)

@@ -1,11 +1,16 @@
+import copy
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import popgcn
-from popgcn.cli import (ConfigError, _default_subsets, ablate_graph_subsets,
-                        gradcheck_instances, load_run_config, main,
-                        parse_run_config, resolve_edge_rules)
+from popgcn.cli import (ConfigError, RunConfig, _default_subsets,
+                        ablate_graph_subsets, gradcheck_instances,
+                        load_run_config, main, parse_run_config,
+                        resolve_edge_rules)
 from helpers import quick_dataset
 
 SYNTH_RECIPE = {
@@ -124,6 +129,35 @@ class TestParseRunConfig:
      "data.synth.informative_elements[0]"),
     ({"data": {"synth": {**SYNTH_RECIPE, "n_nodes": True}}},
      "data.synth.n_nodes"),
+    ({"train": {**QUICK_TRAIN, "seed": -1}}, "train"),
+    ({"data": {"synth": {**SYNTH_RECIPE, "seed": -1}}}, "data.synth"),
+    ({"train": {**QUICK_TRAIN, "learning_rate": math.nan}},
+     "train.learning_rate"),
+    ({"train": {**QUICK_TRAIN, "l2_coeff": math.inf}}, "train.l2_coeff"),
+    ({"data": {"synth": {**SYNTH_RECIPE, "class_separation": math.nan}}},
+     "data.synth.class_separation"),
+    ({"edge_rules": [{"element": "noise", "beta": 10 ** 400}]},
+     "edge_rules[0].beta"),
+    ({"train": {**QUICK_TRAIN, "learning_rate": 10 ** 400}},
+     "train.learning_rate"),
+    ({"edge_rules": [{"element": "noise", "kind": "equality",
+                      "beta": math.nan}]}, "edge_rules[0].beta"),
+    ({"compare": {"baseline": ["linear"]}}, "compare.baseline"),
+    ({"edge_rule": [{"element": "noise", "kind": "equality"}]}, "edge_rule"),
+    ({"data": {"synth": dict(SYNTH_RECIPE), "featurs": "f.csv"}},
+     "data.featurs"),
+    ({"edge_rules": [{"element": "noise", "weight": 2.0}]},
+     "edge_rules[0].weight"),
+    ({"edge_rules": [{"element": 5, "kind": "equality"}]},
+     "edge_rules[0].element"),
+    ({"compare": {"subsets": [["informative"], [5]]}},
+     "compare.subsets[1][0]"),
+    ({"data": {"features": 1, "labels": "l.csv", "demographics": "d.csv"}},
+     "data.features"),
+    ({"out": 5}, "out"),
+    ({"edge_rules": [{"element": "noise", "kind": "equality"},
+                     {"element": "noise", "beta": 0.5}]},
+     "edge_rules[1].element"),
 ])
 def test_malformed_field_named_through_main(tmp_path, capsys, extra, field):
     config = write_config(tmp_path, **extra)
@@ -133,11 +167,95 @@ def test_malformed_field_named_through_main(tmp_path, capsys, extra, field):
     assert lines[0].startswith(f"error: config: {field}: ")
 
 
+def test_negative_seed_flag_named_through_main(tmp_path, capsys):
+    assert main(["cv", "--config", write_config(tmp_path),
+                 "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: config: train.seed: seed must be nonnegative"]
+
+
+# A config using every key; the CSV variant swaps in the three data paths.
+FULL_CONFIG = {
+    "data": {"synth": dict(SYNTH_RECIPE)},
+    "train": {**QUICK_TRAIN, "dropout_rate": 0.3, "l2_coeff": 5e-4,
+              "learning_rate": 0.01, "val_fraction": 0.1},
+    "edge_rules": [{"element": "informative", "kind": "equality"},
+                   {"element": "noise", "kind": "threshold", "beta": 0.2}],
+    "compare": {"baselines": ["linear"],
+                "subsets": [["informative"], ["informative", "noise"]]},
+    "out": "report.json",
+}
+CSV_CONFIG = {**FULL_CONFIG, "data": {
+    "features": "f.csv", "labels": "l.csv", "demographics": "d.csv"}}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["noise", "equality", "linear"]),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=3)),
+    max_leaves=6)
+
+
+def _paths(value, prefix=()):
+    """Every key path into a JSON value, its own empty path included."""
+    yield prefix
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _paths(item, (*prefix, key))
+
+
+def _at(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+def _mutants(base, value, key):
+    """Copies of ``base``, one per path with ``value`` put there, and one
+    per object with ``value`` added to it under the new ``key``."""
+    for path in _paths(base):
+        raw = copy.deepcopy(base)
+        if not path:
+            yield value
+        else:
+            _at(raw, path[:-1])[path[-1]] = value
+            yield raw
+    for path in _paths(base):
+        raw = copy.deepcopy(base)
+        target = _at(raw, path)
+        if isinstance(target, dict) and key not in target:
+            target[key] = value
+            yield raw
+
+
+@pytest.mark.parametrize("raw", [FULL_CONFIG, CSV_CONFIG])
+def test_property_configs_are_valid(raw):
+    assert isinstance(parse_run_config(copy.deepcopy(raw)), RunConfig)
+
+
+@settings(max_examples=30, deadline=None)
+@example(value=10 ** 400, key="x")
+@example(value=-10 ** 400, key="x")
+@example(value=math.nan, key="x")
+@example(value=-math.inf, key="x")
+@given(value=JSON_VALUES, key=st.text(min_size=1, max_size=8))
+def test_any_json_anywhere_parses_or_is_config_error(value, key):
+    # parsing only: nothing is materialized, so no value can allocate much
+    for base in (FULL_CONFIG, CSV_CONFIG):
+        for raw in _mutants(base, value, key):
+            try:
+                assert isinstance(parse_run_config(raw), RunConfig)
+            except ConfigError:
+                pass
+
+
 class TestEdgeRuleResolution:
     def test_named_override_replaces_default(self):
         ds = quick_dataset()
         rules = resolve_edge_rules(ds, [
-            {"element": "noise", "kind": "equality", "beta": None}])
+            popgcn.EdgeRule("noise", popgcn.EQUALITY)])
         assert rules[ds.element_index("noise")].kind == popgcn.EQUALITY
         defaults = popgcn.default_edge_rules(ds)
         informative = ds.element_index("informative")
@@ -146,8 +264,7 @@ class TestEdgeRuleResolution:
     def test_unknown_element_names_field(self):
         ds = quick_dataset()
         with pytest.raises(ConfigError, match=r"edge_rules\[0\]\.element"):
-            resolve_edge_rules(ds, [
-                {"element": "site", "kind": "equality", "beta": None}])
+            resolve_edge_rules(ds, [popgcn.EdgeRule("site", popgcn.EQUALITY)])
 
     def test_full_set_subset_is_the_model_run(self):
         ds = quick_dataset()

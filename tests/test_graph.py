@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import popgcn
+from popgcn.data import DataError
 from popgcn.graph import GraphError
 from helpers import quick_dataset
 
@@ -11,41 +12,52 @@ from helpers import quick_dataset
 class TestEdgeRule:
     def test_rejects_unknown_kind(self):
         with pytest.raises(GraphError, match="unknown edge rule kind"):
-            popgcn.EdgeRule(0, "similarity")
+            popgcn.EdgeRule("site", "similarity")
 
     def test_threshold_requires_positive_beta(self):
         with pytest.raises(GraphError):
-            popgcn.EdgeRule(0, popgcn.THRESHOLD)
+            popgcn.EdgeRule("age", popgcn.THRESHOLD)
         with pytest.raises(GraphError):
-            popgcn.EdgeRule(0, popgcn.THRESHOLD, -1.0)
+            popgcn.EdgeRule("age", popgcn.THRESHOLD, -1.0)
 
     def test_equality_needs_no_beta(self):
-        rule = popgcn.EdgeRule(2, popgcn.EQUALITY)
+        rule = popgcn.EdgeRule("site", popgcn.EQUALITY)
         assert rule.beta is None
+
+    @pytest.mark.parametrize("kind", [popgcn.THRESHOLD, popgcn.EQUALITY])
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beta_rejected(self, kind, beta):
+        with pytest.raises(GraphError, match="finite") as err:
+            popgcn.EdgeRule("age", kind, beta)
+        assert err.value.field == "beta"
+
+    def test_beta_stored_as_float(self):
+        beta = popgcn.EdgeRule("age", popgcn.THRESHOLD, 2).beta
+        assert type(beta) is float and beta == 2.0
 
 
 class TestBuildEdgeMatrix:
     def test_threshold_hand_case(self):
         # |70-72| = 2 < 3 connects the first pair; the gaps to 80 do not
         ages = [70.0, 72.0, 80.0]
-        rule = popgcn.EdgeRule(0, popgcn.THRESHOLD, 3.0)
+        rule = popgcn.EdgeRule("age", popgcn.THRESHOLD, 3.0)
         edges = popgcn.build_edge_matrix(ages, rule)
         expected = np.array([[0., 1., 0.], [1., 0., 0.], [0., 0., 0.]])
         assert np.array_equal(edges, expected)
 
     def test_threshold_is_strict(self):
-        rule = popgcn.EdgeRule(0, popgcn.THRESHOLD, 2.0)
+        rule = popgcn.EdgeRule("age", popgcn.THRESHOLD, 2.0)
         edges = popgcn.build_edge_matrix([0.0, 2.0], rule)
         assert np.array_equal(edges, np.zeros((2, 2)))
 
     def test_equality_hand_case(self):
-        rule = popgcn.EdgeRule(0, popgcn.EQUALITY)
+        rule = popgcn.EdgeRule("site", popgcn.EQUALITY)
         edges = popgcn.build_edge_matrix([1.0, 2.0, 1.0], rule)
         expected = np.array([[0., 0., 1.], [0., 0., 0.], [1., 0., 0.]])
         assert np.array_equal(edges, expected)
 
     def test_non_finite_value_names_row(self):
-        rule = popgcn.EdgeRule(0, popgcn.EQUALITY)
+        rule = popgcn.EdgeRule("site", popgcn.EQUALITY)
         with pytest.raises(GraphError, match="row 2"):
             popgcn.build_edge_matrix([1.0, 2.0, np.nan], rule)
 
@@ -53,7 +65,7 @@ class TestBuildEdgeMatrix:
     @given(values=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=12),
            beta=st.floats(0.1, 10.0))
     def test_always_symmetric_binary_zero_diag(self, values, beta):
-        rule = popgcn.EdgeRule(0, popgcn.THRESHOLD, beta)
+        rule = popgcn.EdgeRule("score", popgcn.THRESHOLD, beta)
         edges = popgcn.build_edge_matrix(values, rule)
         assert np.array_equal(edges, edges.T)
         assert np.all((edges == 0) | (edges == 1))
@@ -66,7 +78,7 @@ class TestBuildEdgeMatrix:
     def test_integer_threshold_shift_invariant(self, values, beta, shift):
         # small-integer differences are exact in float64, so translating the
         # column must leave the graph untouched
-        rule = popgcn.EdgeRule(0, popgcn.THRESHOLD, float(beta))
+        rule = popgcn.EdgeRule("score", popgcn.THRESHOLD, float(beta))
         column = np.array(values, dtype=np.float64)
         assert np.array_equal(popgcn.build_edge_matrix(column, rule),
                               popgcn.build_edge_matrix(column + shift, rule))
@@ -228,7 +240,7 @@ class TestDefaultEdgeRules:
     def test_one_rule_per_element_in_order(self):
         ds = quick_dataset()
         rules = popgcn.default_edge_rules(ds)
-        assert [r.element_index for r in rules] == list(range(ds.n_elements))
+        assert [r.element for r in rules] == list(ds.element_names)
 
 
 class TestBuildMatrices:
@@ -239,9 +251,11 @@ class TestBuildMatrices:
 
     def test_rule_out_of_range_rejected(self):
         ds = quick_dataset()
-        with pytest.raises(GraphError, match="element 5"):
+        with pytest.raises(DataError,
+                           match="unknown demographic element 'site'; "
+                                 r"available: \['informative', 'noise'\]"):
             popgcn.build_affinity_matrices(
-                ds, [popgcn.EdgeRule(5, popgcn.EQUALITY)])
+                ds, [popgcn.EdgeRule("site", popgcn.EQUALITY)])
 
     def test_propagation_matrices_well_formed(self):
         ds = quick_dataset()
@@ -255,7 +269,7 @@ class TestBuildMatrices:
     def test_restricting_rules_restricts_graphs(self):
         ds = quick_dataset()
         props = popgcn.build_propagation_matrices(
-            ds, [popgcn.EdgeRule(1, popgcn.THRESHOLD, 0.2)])
+            ds, [popgcn.EdgeRule("noise", popgcn.THRESHOLD, 0.2)])
         assert len(props) == 1
 
 

@@ -243,9 +243,10 @@ class TestCVPlumbing:
 
     def test_config_echo_includes_rules(self):
         config = quick_config()
-        rules = [popgcn.EdgeRule(0, popgcn.THRESHOLD, 2.0),
-                 popgcn.EdgeRule(1, popgcn.EQUALITY)]
-        echo = popgcn.config_to_dict(config, rules, ("age", "gender"))
+        rules = (popgcn.EdgeRule("age", popgcn.THRESHOLD, 2.0),
+                 popgcn.EdgeRule("gender", popgcn.EQUALITY))
+        echo = popgcn.config_to_dict(
+            dataclasses.replace(config, edge_rules=rules))
         assert echo["folds"] == 3
         assert echo["edge_rules"] == [
             {"element": "age", "kind": "threshold", "beta": 2.0},
@@ -295,9 +296,10 @@ class TestRunCV:
 
     def test_explicit_rules_echoed(self):
         ds = quick_dataset()
-        rules = (popgcn.EdgeRule(0, popgcn.EQUALITY),)
+        rules = (popgcn.EdgeRule("informative", popgcn.EQUALITY),)
         report = popgcn.run_cv(ds, quick_config(edge_rules=rules))
-        assert [r["kind"] for r in report.config["edge_rules"]] == ["equality"]
+        assert report.config["edge_rules"] == [
+            {"element": "informative", "kind": "equality", "beta": None}]
 
     def test_prebuilt_props_must_match_rules(self):
         ds = quick_dataset()
