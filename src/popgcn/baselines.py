@@ -4,9 +4,10 @@ A baseline is a training config plus one propagation operator, run through
 the model's own cross-validation loop on the same folds and per-fold seeds,
 so a comparison against the multi-branch model differs only in model
 structure. ``linear`` is the single-branch model with no hidden layer and no
-dropout on the identity operator; ``dense_nn`` keeps the config's layers on
-the identity operator; ``avg_gcn`` keeps them on the normalized mean of the
-element affinity matrices.
+dropout on the "no graph" operator, which applies as the identity without
+multiplying; ``dense_nn`` keeps the config's layers on that operator;
+``avg_gcn`` keeps them on the normalized mean of the element affinity
+matrices.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ class BaselineKind(Enum):
 
 
 def identity_propagation(n_nodes: int) -> PropagationMatrix:
-    """Graph-free propagation: every node sees only itself."""
-    return PropagationMatrix(matrix=np.eye(n_nodes))
+    """Graph-free propagation: every node sees only itself. The operator
+    holds no N x N identity; applying it returns its operand."""
+    return PropagationMatrix(matrix=None, n_nodes=n_nodes)
 
 
 def averaged_propagation(affinities) -> PropagationMatrix:

@@ -144,6 +144,9 @@ class SynthConfig:
         if self.n_features < self.n_classes:
             raise DataError(
                 "class mean placement needs n_features >= n_classes")
+        if not np.isfinite(self.class_separation):
+            raise DataError(f"class_separation must be finite, got "
+                            f"{self.class_separation}")
         if self.class_separation < 0:
             raise DataError("class_separation must be nonnegative")
         if not informative and not noise:

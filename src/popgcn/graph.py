@@ -86,23 +86,40 @@ class AffinityMatrix:
 
 @dataclass(frozen=True)
 class PropagationMatrix:
-    """Symmetrically normalized, self-loop-augmented propagation operator."""
+    """Symmetrically normalized, self-loop-augmented propagation operator.
 
-    matrix: np.ndarray
+    ``matrix=None`` is the "no graph" operator on ``n_nodes`` nodes: it holds
+    no N x N array, and ``apply`` returns its operand unchanged. Otherwise
+    ``n_nodes`` is read off the matrix.
+    """
+
+    matrix: np.ndarray | None
+    n_nodes: int | None = None
 
     def __post_init__(self):
+        if self.matrix is None:
+            if (not isinstance(self.n_nodes, (int, np.integer))
+                    or self.n_nodes < 1):
+                raise GraphError("the no-graph operator needs a positive "
+                                 f"integer n_nodes, got {self.n_nodes!r}")
+            object.__setattr__(self, "n_nodes", int(self.n_nodes))
+            return
         matrix = np.asarray(self.matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise GraphError(f"propagation matrix must be square, got {matrix.shape}")
+        if self.n_nodes is not None and self.n_nodes != matrix.shape[0]:
+            raise GraphError(f"n_nodes {self.n_nodes} does not match a "
+                             f"{matrix.shape} propagation matrix")
         if not np.all(np.isfinite(matrix)):
             raise GraphError("propagation matrix must be finite")
         if not np.array_equal(matrix, matrix.T):
             raise GraphError("propagation matrix must be exactly symmetric")
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "n_nodes", matrix.shape[0])
 
-    @property
-    def n_nodes(self) -> int:
-        return self.matrix.shape[0]
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """``P @ h``; the "no graph" operator returns ``h`` itself."""
+        return h if self.matrix is None else self.matrix @ h
 
 
 def build_edge_matrix(delta_column, rule: EdgeRule) -> np.ndarray:

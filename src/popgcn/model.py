@@ -3,8 +3,12 @@
 Each demographic element's graph drives one branch of graph-convolution
 layers over the shared feature matrix. All branches share the layer widths,
 so a layer's filters are one (M, d_in, d_out) array, and forward, backward
-and the optimizer loop over layers only. A layer kernel applies the M N x N
-operators one branch at a time, so no (M, N, d) operator product is held.
+and the optimizer loop over layers only. A layer kernel applies the M
+operators one branch at a time, so no (M, N, d) operator product is held,
+and it applies each operator to the narrower side of the layer: a layer
+that narrows filters before it propagates (``P @ (H @ theta)``, as in Kipf
+and Welling 2017), one that widens or keeps its width propagates first. The
+"no graph" operator of the baselines applies without a product.
 Trainable scalars omega fuse the (M, N, K) branch logits linearly before a
 row-wise softmax. Inputs are checked once, where they enter (``ModelParams``,
 ``model_forward``); nothing in the epoch loop scans an array to validate it.
@@ -72,8 +76,9 @@ class ForwardTrace:
     Per layer: the (M, N, d) input before dropout (for the first layer a
     broadcast view of the shared features, not a copy), the (M, N, d)
     inverted-scaling dropout masks (None when nothing was dropped), and the
-    (M, N, d_out) preactivations ``P_m @ (input_m * mask_m) @ theta_m``. The
-    last layer's preactivations are the branch logits.
+    (M, N, d_out) preactivations ``P_m @ (input_m * mask_m) @ theta_m``,
+    multiplied in the order ``gc_layer_forward`` picks. The last layer's
+    preactivations are the branch logits.
     """
 
     props: list[PropagationMatrix]
@@ -116,12 +121,20 @@ def gc_layer_forward(props, hidden, masks, theta) -> np.ndarray:
 
     ``out[m] = P_m @ (hidden[m] * masks[m]) @ theta[m]`` for an (M, N, d)
     ``hidden``; ``masks`` is None when nothing is dropped. Branches run one
-    at a time, so only one (N, d) product is live.
+    at a time, so only one (N, d) product is live. P_m is applied to the
+    narrower operand: after the filter when the layer narrows
+    (d_out < d_in), which costs N*d_in*d_out + N^2*d_out instead of
+    N^2*d_in + N*d_in*d_out, and before it otherwise. The two orders agree
+    up to rounding.
     """
+    narrows = theta.shape[2] < theta.shape[1]
     out = np.empty((theta.shape[0], hidden.shape[1], theta.shape[2]))
     for m, prop in enumerate(props):
         dropped = hidden[m] if masks is None else hidden[m] * masks[m]
-        out[m] = prop.matrix @ dropped @ theta[m]
+        if narrows:
+            out[m] = prop.apply(dropped @ theta[m])
+        else:
+            out[m] = prop.apply(dropped) @ theta[m]
     return out
 
 
@@ -130,13 +143,15 @@ def _layer_backward(props, hidden, masks, grad_out):
 
     Returns ``propagated[m] = P_m @ grad_out[m]`` (each P is exactly
     symmetric, so this is ``P_m.T @ grad_out[m]``) and the data part of the
-    filter gradient, ``(hidden[m] * masks[m]).T @ propagated[m]``.
+    filter gradient, ``(hidden[m] * masks[m]).T @ propagated[m]``. Either
+    way the forward pass ordered the layer, P_m meets the (N, d_out)
+    gradient here, the narrow side of a narrowing layer.
     """
     propagated = np.empty_like(grad_out)
     theta_grad = np.empty((len(props), hidden.shape[2], grad_out.shape[2]))
     for m, prop in enumerate(props):
         dropped = hidden[m] if masks is None else hidden[m] * masks[m]
-        propagated[m] = prop.matrix @ grad_out[m]
+        propagated[m] = prop.apply(grad_out[m])
         theta_grad[m] = dropped.T @ propagated[m]
     return propagated, theta_grad
 
@@ -196,7 +211,7 @@ def model_forward(props, features, params: ModelParams, dropout_rate: float = 0.
     if (features.ndim != 2 or features.shape[0] != props[0].n_nodes
             or features.shape[1] != params.layers[0].shape[1]):
         raise ValueError(
-            f"shapes do not chain: prop {props[0].matrix.shape}, "
+            f"shapes do not chain: prop on {props[0].n_nodes} nodes, "
             f"features {features.shape}, first layer {params.layers[0].shape}")
     masks = [None] * params.n_layers
     if training and dropout_rate > 0.0:

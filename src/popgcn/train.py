@@ -49,6 +49,11 @@ class TrainConfig:
         object.__setattr__(self, "hidden_dims",
                            tuple(int(h) for h in self.hidden_dims))
         object.__setattr__(self, "edge_rules", tuple(self.edge_rules))
+        for name in ("dropout_rate", "l2_coeff", "learning_rate",
+                     "val_fraction"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden_dims must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import popgcn
+from popgcn import baselines as baselines_mod
 from popgcn.baselines import BaselineKind
 from helpers import quick_config, quick_dataset
 
@@ -12,7 +14,20 @@ from helpers import quick_config, quick_dataset
 class TestPropagationVariants:
     def test_identity_propagation(self):
         prop = popgcn.identity_propagation(4)
-        assert np.array_equal(prop.matrix, np.eye(4))
+        h = np.arange(12.0).reshape(4, 3)
+        assert prop.n_nodes == 4
+        assert prop.apply(h) is h
+
+    def test_identity_propagation_holds_no_square_array(self):
+        n = 2000
+        tracemalloc.start()
+        try:
+            prop = popgcn.identity_propagation(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prop.matrix is None
+        assert peak < n * n * 8 // 100  # np.eye(2000) would be 32 MB
 
     def test_averaged_propagation_is_mean_of_affinities(self):
         ds = quick_dataset()
@@ -113,6 +128,28 @@ class TestBaselineCV:
         config = quick_config()
         popgcn.run_baseline_cv(ds, config, BaselineKind.LINEAR)
         assert dataclasses.asdict(config) == dataclasses.asdict(quick_config())
+
+    @pytest.mark.parametrize("kind", [BaselineKind.LINEAR,
+                                      BaselineKind.DENSE_NN],
+                             ids=lambda kind: kind.value)
+    def test_no_graph_reports_equal_explicit_identity(self, kind,
+                                                      monkeypatch):
+        # skipping the product with I is exact, so the reports must match
+        # those of the same fold loop on a dense identity, bit for bit
+        ds = quick_dataset()
+        config = quick_config(hidden_dims=(12, 4))  # widens, then narrows
+
+        def stripped(result):
+            for entry in result["folds"]:
+                entry.pop("wall_clock_sec")
+            return json.dumps(result, sort_keys=True)
+
+        skipped = popgcn.run_baseline_cv(ds, config, kind)
+        monkeypatch.setattr(
+            baselines_mod, "identity_propagation",
+            lambda n: popgcn.PropagationMatrix(np.eye(n)))
+        dense = popgcn.run_baseline_cv(ds, config, kind)
+        assert stripped(skipped) == stripped(dense)
 
     def test_dense_nn_reports_architecture(self):
         ds = quick_dataset()

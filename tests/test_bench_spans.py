@@ -55,3 +55,25 @@ def test_traced_run_counts_one_span_per_call():
     phase2 = sum(max(0, fold["stopped_epoch"] - config.phase1_epochs)
                  for fold in report.folds)
     assert names.count("train.adam") == n_layers * epochs + phase2
+
+
+@pytest.mark.parametrize("kind", ["linear", "dense_nn"])
+def test_traced_baseline_counts_one_layer_span_per_layer(kind):
+    # the "no graph" operator skips its product inside gc_layer_forward, so
+    # model.layer still counts every layer of every baseline forward
+    import popgcn
+    from popgcn.baselines import BaselineKind
+    from helpers import quick_config, quick_dataset
+
+    config = quick_config(folds=2, hidden_dims=(6, 4))
+    with spans.Tracer().install() as tracer:
+        popgcn.run_baseline_cv(quick_dataset(), config, BaselineKind(kind))
+    names = [span[0] for span in tracer.spans]
+    forwards = names.count("model.forward_train") + \
+        names.count("model.forward_eval")
+    n_layers = 1 if kind == "linear" else len(config.hidden_dims) + 1
+    assert names.count("baselines.run") == 1
+    # one evaluation forward per epoch, plus one per fold in evaluate
+    assert names.count("model.forward_eval") == \
+        names.count("model.forward_train") + config.folds > config.folds
+    assert names.count("model.layer") == n_layers * forwards

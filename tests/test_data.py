@@ -66,6 +66,11 @@ class TestSynthetic:
             popgcn.SynthConfig(informative_elements=(("dup", 0.5),),
                                noise_elements=("dup",))
 
+    def test_rejects_non_finite_class_separation(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(DataError, match="class_separation"):
+                popgcn.SynthConfig(class_separation=value)
+
 
 class TestDataset:
     def test_one_hot(self):

@@ -10,6 +10,17 @@ def identity_prop(n: int) -> popgcn.PropagationMatrix:
     return popgcn.PropagationMatrix(np.eye(n))
 
 
+class ApplySpy:
+    """Operator stand-in recording the width of every operand it applies to."""
+
+    def __init__(self, prop):
+        self.prop, self.widths = prop, []
+
+    def apply(self, h):
+        self.widths.append(h.shape[1])
+        return self.prop.apply(h)
+
+
 def stacked(branches, omega) -> popgcn.ModelParams:
     """ModelParams from per-branch filter lists, input to output order."""
     return popgcn.ModelParams([np.stack(ws) for ws in zip(*branches)], omega)
@@ -72,6 +83,11 @@ class TestParams:
         assert params.omega[0] == 1.0
 
 
+# a layer that narrows, one that widens, one that keeps its width
+WIDTHS = [(6, 2), (2, 6), (4, 4)]
+WIDTH_IDS = ["narrows", "widens", "keeps"]
+
+
 class TestLayerForward:
     def test_identity_prop_identity_theta(self):
         acts = np.array([[1.0, -2.0], [3.0, 4.0]])
@@ -107,6 +123,43 @@ class TestLayerForward:
         for m in range(2):
             expected = props[m].matrix @ (hidden[m] * masks[m]) @ theta[m]
             assert np.array_equal(out[m], expected)
+
+    @pytest.mark.parametrize("d_in, d_out", WIDTHS, ids=WIDTH_IDS)
+    def test_matches_left_associated_product(self, d_in, d_out):
+        # reassociating P @ H @ theta changes rounding only
+        ds = quick_dataset()
+        props = popgcn.build_propagation_matrices(ds)
+        rng = np.random.default_rng(17)
+        hidden = rng.standard_normal((2, ds.n_nodes, d_in))
+        masks = rng.integers(0, 2, size=hidden.shape) * 2.0
+        theta = rng.standard_normal((2, d_in, d_out))
+        out = popgcn.gc_layer_forward(props, hidden, masks, theta)
+        for m in range(2):
+            expected = (props[m].matrix @ (hidden[m] * masks[m])) @ theta[m]
+            assert np.allclose(out[m], expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("d_in, d_out", WIDTHS, ids=WIDTH_IDS)
+    def test_operator_meets_the_narrower_side(self, d_in, d_out):
+        # a narrowing layer filters first, so P multiplies a d_out-wide
+        # operand; otherwise P multiplies the d_in-wide input
+        ds = quick_dataset()
+        spies = [ApplySpy(p) for p in popgcn.build_propagation_matrices(ds)]
+        rng = np.random.default_rng(18)
+        hidden = rng.standard_normal((2, ds.n_nodes, d_in))
+        theta = rng.standard_normal((2, d_in, d_out))
+        popgcn.gc_layer_forward(spies, hidden, None, theta)
+        assert [spy.widths for spy in spies] == [[min(d_in, d_out)]] * 2
+
+    @pytest.mark.parametrize("d_in, d_out", WIDTHS, ids=WIDTH_IDS)
+    def test_backward_applies_operator_to_output_gradient(self, d_in, d_out):
+        ds = quick_dataset()
+        spies = [ApplySpy(p) for p in popgcn.build_propagation_matrices(ds)]
+        rng = np.random.default_rng(19)
+        hidden = rng.standard_normal((2, ds.n_nodes, d_in))
+        grad_out = rng.standard_normal((2, ds.n_nodes, d_out))
+        model_mod._layer_backward(spies, hidden, None, grad_out)
+        assert [spy.widths for spy in spies] == [[d_out]] * 2
 
     def test_shape_mismatch_rejected(self):
         params = popgcn.ModelParams([np.zeros((1, 4, 2))], np.array([1.0]))
@@ -415,6 +468,16 @@ class TestFiniteDifference:
         params = popgcn.init_params(ds.n_features, (6,), ds.n_classes,
                                     ds.n_elements, np.random.default_rng(12))
         err = popgcn.finite_diff_check(ds, params, quick_config(), seed=1)
+        assert err < 1e-5
+
+    def test_widening_network_matches(self):
+        # 3 features into 8 hidden units widens and 8 into 3 classes narrows,
+        # so both multiplication orders of gc_layer_forward are checked
+        ds = quick_dataset(n_features=3)
+        params = popgcn.init_params(3, (8,), ds.n_classes, ds.n_elements,
+                                    np.random.default_rng(20))
+        err = popgcn.finite_diff_check(ds, params,
+                                       quick_config(hidden_dims=(8,)), seed=5)
         assert err < 1e-5
 
     def test_with_dropout_config_still_checks_deterministic_objective(self):

@@ -33,6 +33,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             popgcn.TrainConfig(**overrides)
 
+    @pytest.mark.parametrize("name", ["dropout_rate", "l2_coeff",
+                                      "learning_rate", "val_fraction"])
+    def test_rejects_non_finite_floats(self, name):
+        # a NaN learning rate used to train until "non-finite validation
+        # loss at epoch 0"; an infinite l2_coeff was accepted as well
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                popgcn.TrainConfig(**{name: value})
+
 
 class TestAdam:
     def test_first_step_hand_oracle(self):
