@@ -1,13 +1,13 @@
 """Reference methods: linear classifier, dense network, averaged-graph GCN.
 
 A baseline is a training config plus one propagation operator, run through
-the model's own cross-validation loop on the same folds and per-fold seeds,
-so a comparison against the multi-branch model differs only in model
-structure. ``linear`` is the single-branch model with no hidden layer and no
-dropout on the "no graph" operator, which applies as the identity without
-multiplying; ``dense_nn`` keeps the config's layers on that operator;
-``avg_gcn`` keeps them on the normalized mean of the element affinity
-matrices.
+the model's own cross-validation loop on the same folds and per-fold seeds
+and reported in the model's report shape, so a comparison against the
+multi-branch model differs only in model structure. ``linear`` is the
+single-branch model with no hidden layer and no dropout on the "no graph"
+operator, which applies as the identity without multiplying; ``dense_nn``
+keeps the config's layers on that operator; ``avg_gcn`` keeps them on the
+normalized mean of the element affinity matrices.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ def run_baseline_cv(dataset: Dataset, config: TrainConfig, kind: BaselineKind,
 
     ``avg_gcn`` runs on ``averaged``, the ``averaged_propagation`` of the
     element graphs of ``rules_or_defaults(dataset, config.edge_rules)``;
-    it is built here when omitted.
+    it is built here when omitted. The result is the ``run_cv`` report of
+    the baseline's config and operator, with ``kind`` added.
     """
-    extra = {"kind": kind.value}
     if kind is BaselineKind.AVERAGED_GRAPH_GCN:
         prop = averaged
         if prop is None:
@@ -60,11 +60,5 @@ def run_baseline_cv(dataset: Dataset, config: TrainConfig, kind: BaselineKind,
         prop = identity_propagation(dataset.n_nodes)
     if kind is BaselineKind.LINEAR:
         config = replace(config, hidden_dims=(), dropout_rate=0.0)
-    elif kind is BaselineKind.DENSE_NN:
-        extra["architecture"] = [*config.hidden_dims, dataset.n_classes]
-
-    def fold_entry(fold, model, metrics):
-        return {**metrics, "fold": fold.fold_id, **extra}
-
-    return {"kind": kind.value,
-            **_cross_validate(dataset, config, [prop], fold_entry)}
+    report = _cross_validate(dataset, config, [prop])
+    return {"kind": kind.value, **report.to_dict()}

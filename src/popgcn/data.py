@@ -7,6 +7,7 @@ demographic matrix whose columns each define one population graph.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,7 +145,7 @@ class SynthConfig:
         if self.n_features < self.n_classes:
             raise DataError(
                 "class mean placement needs n_features >= n_classes")
-        if not np.isfinite(self.class_separation):
+        if not math.isfinite(self.class_separation):
             raise DataError(f"class_separation must be finite, got "
                             f"{self.class_separation}")
         if self.class_separation < 0:
@@ -230,7 +231,8 @@ def load_dataset(features_path, labels_path, demographics_path) -> Dataset:
     """Load a dataset from three CSV files.
 
     ``features`` and ``labels`` are headerless; the demographics file starts
-    with a header row naming the elements. Row counts must agree across files.
+    with a header row naming the elements. Row counts must agree across files,
+    and the labels must use every class id from 0 to their maximum.
     """
     _, features = _read_csv_matrix(features_path, header=False)
     _, raw_labels = _read_csv_matrix(labels_path, header=False)
@@ -262,8 +264,13 @@ def load_dataset(features_path, labels_path, demographics_path) -> Dataset:
     if labels.min() < 0:
         row = int(np.argmin(labels))
         raise DataError(f"{labels_path}: negative label {labels[row]} at row {row}")
+    present = np.unique(labels)  # sorted, so a gap shifts ids past their index
+    gaps = np.flatnonzero(present != np.arange(present.size))
+    if gaps.size:
+        raise DataError(f"{labels_path}: no row has label {int(gaps[0])}, "
+                        f"but labels run up to {int(present[-1])}")
     return Dataset(features, labels, demographics, tuple(names),
-                   int(labels.max()) + 1)
+                   int(present[-1]) + 1)
 
 
 def save_dataset(dataset: Dataset, out_dir) -> dict[str, Path]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -51,7 +52,7 @@ class TrainConfig:
         object.__setattr__(self, "edge_rules", tuple(self.edge_rules))
         for name in ("dropout_rate", "l2_coeff", "learning_rate",
                      "val_fraction"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(
                     f"{name} must be finite, got {getattr(self, name)}")
         if any(h < 1 for h in self.hidden_dims):
@@ -252,8 +253,7 @@ def evaluate(model: TrainedModel, dataset: Dataset, test_idx,
     per_class = [float(hit / total) if total else None
                  for hit, total in zip(np.diagonal(confusion), counts)]
     metrics = {
-        "accuracy": float(np.mean(
-            predictions[test_idx] == dataset.labels[test_idx])),
+        "accuracy": accuracy(probs, dataset.labels, test_idx),
         "per_class_accuracy": per_class,
         "confusion": confusion.tolist(),
         "n_test": int(test_idx.size),
@@ -311,13 +311,15 @@ class CVReport:
                 "split_hash": self.split_hash}
 
 
-def _cross_validate(dataset: Dataset, config: TrainConfig, props,
-                    fold_entry) -> dict:
+def _cross_validate(dataset: Dataset, config: TrainConfig,
+                    props) -> CVReport:
     """Train on ``props`` and score every fold of ``config``'s split.
 
-    ``fold_entry(fold, model, metrics)`` makes a fold's report entry from its
-    ``evaluate`` metrics, ``train_accuracy`` included; the loop adds
-    ``wall_clock_sec``. Returns folds, mean_acc, std_acc and split_hash.
+    A fold's entry holds its ``evaluate`` metrics, ``train_accuracy``
+    included and ``n_test`` left out (the confusion rows count the test
+    nodes), plus the fold id, the raw and normalized fusion weights, the
+    best and stopped epochs and ``wall_clock_sec``. The report echoes
+    ``config`` with its edge rules resolved by ``rules_or_defaults``.
     """
     folds, seeds = cv_folds_and_seeds(dataset.labels, config)
     entries = []
@@ -326,12 +328,25 @@ def _cross_validate(dataset: Dataset, config: TrainConfig, props,
         model = train_model(dataset, props, config, fold_seed,
                             train_idx=fold.train_idx)
         metrics = evaluate(model, dataset, fold.test_idx, fold.train_idx)
-        entry = fold_entry(fold, model, metrics)
-        entry["wall_clock_sec"] = time.perf_counter() - started
-        entries.append(entry)
+        del metrics["n_test"]
+        omega = model.params.omega
+        scale = float(np.sum(np.abs(omega)))
+        entries.append({
+            **metrics,
+            "fold": fold.fold_id,
+            "omega_raw": omega.tolist(),
+            "omega_normalized": ((omega / scale).tolist() if scale > 0
+                                 else omega.tolist()),
+            "best_epoch": model.best_epoch,
+            "stopped_epoch": model.stopped_epoch,
+            "wall_clock_sec": time.perf_counter() - started,
+        })
     accs = np.array([entry["accuracy"] for entry in entries])
-    return {"folds": entries, "mean_acc": float(accs.mean()),
-            "std_acc": float(accs.std()), "split_hash": split_hash(folds)}
+    rules = rules_or_defaults(dataset, config.edge_rules)
+    return CVReport(folds=entries, mean_acc=float(accs.mean()),
+                    std_acc=float(accs.std()),
+                    config=config_to_dict(replace(config, edge_rules=rules)),
+                    split_hash=split_hash(folds))
 
 
 def run_cv(dataset: Dataset, config: TrainConfig, props=None) -> CVReport:
@@ -350,21 +365,4 @@ def run_cv(dataset: Dataset, config: TrainConfig, props=None) -> CVReport:
     elif len(props) != len(rules):
         raise ValueError(f"{len(props)} propagation matrices for "
                          f"{len(rules)} edge rules")
-
-    def fold_entry(fold, model, metrics):
-        del metrics["n_test"]  # the model report format has no test count
-        omega = model.params.omega
-        scale = float(np.sum(np.abs(omega)))
-        return {
-            **metrics,
-            "fold": fold.fold_id,
-            "omega_raw": omega.tolist(),
-            "omega_normalized": ((omega / scale).tolist() if scale > 0
-                                 else omega.tolist()),
-            "best_epoch": model.best_epoch,
-            "stopped_epoch": model.stopped_epoch,
-        }
-
-    echo = config_to_dict(replace(config, edge_rules=rules))
-    return CVReport(config=echo,
-                    **_cross_validate(dataset, config, props, fold_entry))
+    return _cross_validate(dataset, config, props)

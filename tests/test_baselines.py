@@ -121,7 +121,11 @@ class TestBaselineCV:
         for entry in result["folds"]:
             assert set(entry) >= {"accuracy", "per_class_accuracy",
                                   "confusion", "train_accuracy", "fold",
-                                  "n_test"}
+                                  "omega_raw", "omega_normalized",
+                                  "best_epoch", "stopped_epoch"}
+        # the confusion rows count each fold's test nodes
+        assert sum(np.sum(entry["confusion"])
+                   for entry in result["folds"]) == ds.n_nodes
 
     def test_linear_does_not_mutate_config(self):
         ds = quick_dataset()
@@ -152,18 +156,30 @@ class TestBaselineCV:
         assert stripped(skipped) == stripped(dense)
 
     def test_dense_nn_reports_architecture(self):
+        # the layer widths are the echoed hidden_dims, then one per class
         ds = quick_dataset()
         result = popgcn.run_baseline_cv(ds, quick_config(hidden_dims=(7,)),
                                         BaselineKind.DENSE_NN)
-        assert all(entry["architecture"] == [7, 3]
-                   for entry in result["folds"])
+        assert result["kind"] == "dense_nn"
+        assert result["config"]["hidden_dims"] == [7]
+        for entry in result["folds"]:
+            assert "architecture" not in entry
+            assert np.shape(entry["confusion"]) == (3, 3)
+
+    def test_linear_echoes_the_config_it_trained(self):
+        result = popgcn.run_baseline_cv(quick_dataset(), quick_config(),
+                                        BaselineKind.LINEAR)
+        assert result["config"]["hidden_dims"] == []
+        assert result["config"]["dropout_rate"] == 0.0
 
     @pytest.mark.parametrize("kind", list(BaselineKind),
                              ids=lambda kind: kind.value)
     def test_kind_on_report_and_every_fold(self, kind):
+        # the kind sits on the report; its folds have the cv shape, which
+        # names no method
         result = popgcn.run_baseline_cv(quick_dataset(), quick_config(), kind)
         assert result["kind"] == kind.value
-        assert all(entry["kind"] == kind.value for entry in result["folds"])
+        assert not any("kind" in entry for entry in result["folds"])
         assert 0.0 <= result["mean_acc"] <= 1.0
 
     def test_uninformative_features_score_chance_level(self):

@@ -1,7 +1,12 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -140,6 +145,10 @@ class TestParseRunConfig:
      "edge_rules[0].beta"),
     ({"train": {**QUICK_TRAIN, "learning_rate": 10 ** 400}},
      "train.learning_rate"),
+    # integers outside int64 in float fields: the range checks see them
+    ({"train": {**QUICK_TRAIN, "learning_rate": -2 ** 63 - 1}}, "train"),
+    ({"data": {"synth": {**SYNTH_RECIPE, "class_separation": -2 ** 63 - 1}}},
+     "data.synth"),
     ({"edge_rules": [{"element": "noise", "kind": "equality",
                       "beta": math.nan}]}, "edge_rules[0].beta"),
     ({"compare": {"baseline": ["linear"]}}, "compare.baseline"),
@@ -240,6 +249,7 @@ def test_property_configs_are_valid(raw):
 @example(value=-10 ** 400, key="x")
 @example(value=math.nan, key="x")
 @example(value=-math.inf, key="x")
+@example(value=-2 ** 63 - 1, key="x")  # an int NumPy cannot hold
 @given(value=JSON_VALUES, key=st.text(min_size=1, max_size=8))
 def test_any_json_anywhere_parses_or_is_config_error(value, key):
     # parsing only: nothing is materialized, so no value can allocate much
@@ -353,6 +363,20 @@ class TestCvCommand:
         assert main(["cv", "--config", config]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["folds"]) == 2
+
+    @pytest.mark.parametrize("command", ["cv", "graph-stats"])
+    def test_labels_with_a_gap_name_the_file(self, tmp_path, capsys, command):
+        ds = quick_dataset()
+        paths = popgcn.save_dataset(ds, tmp_path / "data")
+        # classes {0, 2}: every label 1 becomes a 2
+        np.savetxt(paths["labels"], np.where(ds.labels == 1, 2, ds.labels),
+                   fmt="%d")
+        config = write_config(tmp_path, data={
+            key: str(path) for key, path in paths.items()})
+        assert main([command, "--config", config]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {paths['labels']}: no row has label 1, "
+            f"but labels run up to 2"]
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["cv", "--config", str(tmp_path / "absent.json")])
@@ -492,6 +516,42 @@ class TestCompareCommand:
         report = json.loads(out.read_text())
         assert strip_wall_clock(report["baselines"]["avg_gcn"]) == \
             strip_wall_clock(direct)
+
+    def test_every_section_has_the_cv_fold_shape(self, tmp_path, capsys):
+        out = tmp_path / "compare.json"
+        assert main(["compare", "--config", write_config(tmp_path),
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        cv = popgcn.run_cv(
+            popgcn.generate_synthetic(popgcn.SynthConfig(**SYNTH_RECIPE)),
+            popgcn.TrainConfig(**QUICK_TRAIN)).to_dict()
+        sections = [report["proposed"], *report["baselines"].values(),
+                    *report["subsets"].values()]
+        for section in sections:
+            for entry in section["folds"]:
+                assert set(entry) == set(cv["folds"][0])
+        for name, section in report["baselines"].items():
+            assert set(section) == set(cv) | {"kind"}
+            assert section["kind"] == name
+
+    def test_report_same_under_blas_thread_counts(self, tmp_path):
+        config = write_config(
+            tmp_path, data={"synth": {**SYNTH_RECIPE, "n_nodes": 300,
+                                      "n_features": 20}})
+        src = str(Path(popgcn.__file__).parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.json"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": src}
+            subprocess.run([sys.executable, "-m", "popgcn.cli", "compare",
+                            "--config", config, "--out", str(out)],
+                           env=env, check=True, capture_output=True,
+                           timeout=300)
+            reports.append(json.dumps(
+                strip_wall_clock(json.loads(out.read_text())),
+                sort_keys=True))
+        assert reports[0] == reports[1]
 
     def test_unknown_baseline_flag_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path)
