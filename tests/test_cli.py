@@ -145,10 +145,6 @@ class TestParseRunConfig:
      "edge_rules[0].beta"),
     ({"train": {**QUICK_TRAIN, "learning_rate": 10 ** 400}},
      "train.learning_rate"),
-    # integers outside int64 in float fields: the range checks see them
-    ({"train": {**QUICK_TRAIN, "learning_rate": -2 ** 63 - 1}}, "train"),
-    ({"data": {"synth": {**SYNTH_RECIPE, "class_separation": -2 ** 63 - 1}}},
-     "data.synth"),
     ({"edge_rules": [{"element": "noise", "kind": "equality",
                       "beta": math.nan}]}, "edge_rules[0].beta"),
     ({"compare": {"baseline": ["linear"]}}, "compare.baseline"),
@@ -167,6 +163,10 @@ class TestParseRunConfig:
     ({"edge_rules": [{"element": "noise", "kind": "equality"},
                      {"element": "noise", "beta": 0.5}]},
      "edge_rules[1].element"),
+    # integers outside int64 in float fields: the range checks see them
+    ({"train": {**QUICK_TRAIN, "learning_rate": -2 ** 63 - 1}}, "train"),
+    ({"data": {"synth": {**SYNTH_RECIPE, "class_separation": -2 ** 63 - 1}}},
+     "data.synth"),
 ])
 def test_malformed_field_named_through_main(tmp_path, capsys, extra, field):
     config = write_config(tmp_path, **extra)
