@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .graph import (AffinityMatrix, PropagationMatrix, build_affinity_matrices,
-                    normalize_affinity, rules_or_defaults)
+                    normalize_affinity)
 from .train import TrainConfig, _cross_validate
 
 
@@ -47,15 +47,15 @@ def run_baseline_cv(dataset: Dataset, config: TrainConfig, kind: BaselineKind,
     """Cross-validate one baseline on the same folds and seeds as the model.
 
     ``avg_gcn`` runs on ``averaged``, the ``averaged_propagation`` of the
-    element graphs of ``rules_or_defaults(dataset, config.edge_rules)``;
-    it is built here when omitted. The result is the ``run_cv`` report of
-    the baseline's config and operator, with ``kind`` added.
+    element graphs of ``config.edge_rules`` (empty: the per-element
+    defaults); it is built here when omitted. The result is the ``run_cv``
+    report of the baseline's config and operator, with ``kind`` added.
     """
     if kind is BaselineKind.AVERAGED_GRAPH_GCN:
         prop = averaged
         if prop is None:
-            prop = averaged_propagation(build_affinity_matrices(
-                dataset, rules_or_defaults(dataset, config.edge_rules)))
+            prop = averaged_propagation(
+                build_affinity_matrices(dataset, config.edge_rules))
     else:
         prop = identity_propagation(dataset.n_nodes)
     if kind is BaselineKind.LINEAR:

@@ -194,7 +194,8 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
 def _read_csv_matrix(path, *, header: bool):
     """Parse a numeric CSV into (header_names, float matrix).
 
-    Blank lines are skipped. Errors name the file, row, and column.
+    Blank lines are skipped. A cell must be a finite number. Errors name the
+    file, row, and column.
     """
     path = Path(path)
     if not path.exists():
@@ -211,11 +212,16 @@ def _read_csv_matrix(path, *, header: bool):
             values = []
             for col, cell in enumerate(row):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(
                         f"{path}: non-numeric value {cell.strip()!r} "
                         f"at row {line_no}, column {col}") from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: non-finite value {cell.strip()!r} "
+                        f"at row {line_no}, column {col}")
+                values.append(value)
             rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
@@ -242,28 +248,26 @@ def load_dataset(features_path, labels_path, demographics_path) -> Dataset:
             f"{labels_path}: expected a single label column, "
             f"got {raw_labels.shape[1]}")
     n = features.shape[0]
-    if raw_labels.shape[0] != n:
-        raise DataError(
-            f"row-count mismatch: {features_path} has {n} rows, "
-            f"{labels_path} has {raw_labels.shape[0]}")
-    if demographics.shape[0] != n:
-        raise DataError(
-            f"row-count mismatch: {features_path} has {n} rows, "
-            f"{demographics_path} has {demographics.shape[0]}")
+    for path, data in ((labels_path, raw_labels),
+                       (demographics_path, demographics)):
+        if data.shape[0] != n:
+            raise DataError(f"row-count mismatch: {features_path} has {n} "
+                            f"rows, {path} has {data.shape[0]}")
     if names is None or len(names) != demographics.shape[1]:
         raise DataError(
             f"{demographics_path}: header names {0 if names is None else len(names)} "
             f"columns but rows have {demographics.shape[1]}")
     column = raw_labels[:, 0]
-    fractional = np.flatnonzero(column != np.round(column))
-    if fractional.size:
-        row = int(fractional[0])
-        raise DataError(
-            f"{labels_path}: non-integer label {column[row]} at row {row}")
+    # checked on the floats, as the int64 cast of an out-of-range value is
+    # undefined; with no gap, n rows hold labels 0 to n - 1 at most
+    for kind, bad in (("non-integer", column != np.round(column)),
+                      ("negative", column < 0),
+                      (f"out-of-range (above {n - 1})", column > n - 1)):
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            raise DataError(f"{labels_path}: {kind} label "
+                            f"{float(column[rows[0]])} at row {rows[0]}")
     labels = column.astype(np.int64)
-    if labels.min() < 0:
-        row = int(np.argmin(labels))
-        raise DataError(f"{labels_path}: negative label {labels[row]} at row {row}")
     present = np.unique(labels)  # sorted, so a gap shifts ids past their index
     gaps = np.flatnonzero(present != np.arange(present.size))
     if gaps.size:

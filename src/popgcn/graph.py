@@ -57,6 +57,18 @@ class EdgeRule:
                 f"threshold rules need beta > 0, got {self.beta}", "beta")
 
 
+def _symmetric_float64(array, what: str) -> np.ndarray:
+    """``array`` as float64, checked square, finite and exactly symmetric."""
+    array = np.asarray(array, dtype=np.float64)
+    if array.ndim != 2 or array.shape[0] != array.shape[1]:
+        raise GraphError(f"{what} must be square, got {array.shape}")
+    if not np.all(np.isfinite(array)):
+        raise GraphError(f"{what} must be finite")
+    if not np.array_equal(array, array.T):
+        raise GraphError(f"{what} must be exactly symmetric")
+    return array
+
+
 @dataclass(frozen=True)
 class AffinityMatrix:
     """Similarity-weighted edge matrix of one element's graph."""
@@ -65,13 +77,7 @@ class AffinityMatrix:
     element_name: str = ""
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
-            raise GraphError(f"affinity weights must be square, got {weights.shape}")
-        if not np.all(np.isfinite(weights)):
-            raise GraphError("affinity weights must be finite")
-        if not np.array_equal(weights, weights.T):
-            raise GraphError("affinity weights must be exactly symmetric")
+        weights = _symmetric_float64(self.weights, "affinity weights")
         if np.any(weights < 0):
             raise GraphError("affinity weights must be nonnegative")
         if np.any(np.diagonal(weights) != 0):
@@ -104,16 +110,10 @@ class PropagationMatrix:
                                  f"integer n_nodes, got {self.n_nodes!r}")
             object.__setattr__(self, "n_nodes", int(self.n_nodes))
             return
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise GraphError(f"propagation matrix must be square, got {matrix.shape}")
+        matrix = _symmetric_float64(self.matrix, "propagation matrix")
         if self.n_nodes is not None and self.n_nodes != matrix.shape[0]:
             raise GraphError(f"n_nodes {self.n_nodes} does not match a "
                              f"{matrix.shape} propagation matrix")
-        if not np.all(np.isfinite(matrix)):
-            raise GraphError("propagation matrix must be finite")
-        if not np.array_equal(matrix, matrix.T):
-            raise GraphError("propagation matrix must be exactly symmetric")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "n_nodes", matrix.shape[0])
 
@@ -169,12 +169,9 @@ def build_affinity(sim, edges, element_name: str = "") -> AffinityMatrix:
     if sim.shape != edges.shape:
         raise GraphError(
             f"shape mismatch: similarity {sim.shape} vs edges {edges.shape}")
+    # the product hides non-binary edges; AffinityMatrix checks the rest
     if np.any((edges != 0.0) & (edges != 1.0)):
         raise GraphError("edge matrix must be binary")
-    if not np.array_equal(edges, edges.T):
-        raise GraphError("edge matrix must be symmetric")
-    if np.any(np.diagonal(edges) != 0):
-        raise GraphError("edge matrix diagonal must be zero")
     return AffinityMatrix(weights=sim * edges, element_name=element_name)
 
 
@@ -227,16 +224,14 @@ def rules_or_defaults(dataset: Dataset, rules) -> list[EdgeRule]:
 
 
 def build_affinity_matrices(dataset: Dataset, rules=None) -> list[AffinityMatrix]:
-    """One similarity-weighted graph per rule (defaults: one rule per element).
+    """One similarity-weighted graph per rule (none or empty: the defaults).
 
     The similarity matrix is computed once and shared across all graphs. A
     rule naming no element of ``dataset`` is a ``DataError``.
     """
-    if rules is None:
-        rules = default_edge_rules(dataset)
     sim = similarity_matrix(dataset.features)
     matrices = []
-    for rule in rules:
+    for rule in rules_or_defaults(dataset, rules):
         column = dataset.demographics[:, dataset.element_index(rule.element)]
         matrices.append(build_affinity(
             sim, build_edge_matrix(column, rule), rule.element))

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (PropagationMatrix, build_propagation_matrices,
-                    rules_or_defaults)
+from .graph import PropagationMatrix, build_propagation_matrices
 
 PROB_FLOOR = 1e-12
 REL_ERR_FLOOR = 1e-3
@@ -305,8 +304,7 @@ def finite_diff_check(dataset, params: ModelParams, config, seed,
     set returns 0.0 with a warning.
     """
     rng = np.random.default_rng(seed)
-    props = build_propagation_matrices(
-        dataset, rules_or_defaults(dataset, config.edge_rules))
+    props = build_propagation_matrices(dataset, config.edge_rules)
     labels = dataset.labels
 
     mask_parts = []

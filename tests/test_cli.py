@@ -378,6 +378,31 @@ class TestCvCommand:
             f"error: {paths['labels']}: no row has label 1, "
             f"but labels run up to 2"]
 
+    # (file, file line, column, cell text, error after the path); the
+    # demographics file's line 0 is its header
+    @pytest.mark.parametrize("file, line, col, text, message", [
+        ("features", 3, 1, "nan", "non-finite value 'nan' at row 3, column 1"),
+        ("labels", 5, 0, "-inf", "non-finite value '-inf' at row 5, column 0"),
+        ("demographics", 2, 0, "inf",
+         "non-finite value 'inf' at row 2, column 0"),
+        ("labels", 0, 0, "1e20", "out-of-range (above 35) label 1e+20 at row 0"),
+        ("labels", 4, 0, "-1e20", "negative label -1e+20 at row 4"),
+    ], ids=["nan-feature", "inf-label", "inf-demographic", "huge-label",
+            "huge-negative-label"])
+    def test_bad_cell_is_one_error_line(self, tmp_path, capsys, file, line,
+                                        col, text, message):
+        paths = popgcn.save_dataset(quick_dataset(), tmp_path / "data")
+        lines = paths[file].read_text().splitlines()
+        cells = lines[line].split(",")
+        cells[col] = text
+        lines[line] = ",".join(cells)
+        paths[file].write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path, data={
+            key: str(path) for key, path in paths.items()})
+        assert main(["cv", "--config", config]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {paths[file]}: {message}"]
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["cv", "--config", str(tmp_path / "absent.json")])
         assert code == 1

@@ -135,6 +135,19 @@ class TestBuildAffinity:
         with pytest.raises(GraphError, match="shape mismatch"):
             popgcn.build_affinity(np.eye(3), np.zeros((2, 2)))
 
+    def test_rejects_asymmetric_edges_under_positive_similarity(self):
+        sim = np.full((2, 2), 0.5)
+        edges = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(GraphError,
+                           match="affinity weights must be exactly symmetric"):
+            popgcn.build_affinity(sim, edges)
+
+    def test_rejects_edge_self_loop(self):
+        sim = popgcn.similarity_matrix([[1., 2., 3.], [2., 1., 0.]])
+        edges = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(GraphError, match="affinity diagonal must be zero"):
+            popgcn.build_affinity(sim, edges)
+
 
 class TestAffinityValidation:
     def test_rejects_asymmetric(self):
@@ -265,6 +278,30 @@ class TestBuildMatrices:
             assert prop.n_nodes == ds.n_nodes
             assert np.array_equal(prop.matrix, prop.matrix.T)
             assert popgcn.spectral_radius(prop.matrix) <= 1.0 + 1e-9
+
+    def test_empty_rules_build_the_defaults(self):
+        ds = quick_dataset()
+        empty = popgcn.build_propagation_matrices(ds, ())
+        default = popgcn.build_propagation_matrices(ds)
+        assert len(empty) == len(default) == ds.n_elements
+        for a, b in zip(empty, default):
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+
+    def test_each_graph_array_scanned_for_symmetry_once(self, monkeypatch):
+        # one scan per affinity and one per operator: the edge matrices are
+        # symmetric by construction and are not scanned again
+        ds = quick_dataset(noise_elements=("noise", "site"))
+        calls = []
+        array_equal = np.array_equal
+
+        def counting(a, b, *args, **kwargs):
+            calls.append(np.shape(a))
+            return array_equal(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "array_equal", counting)
+        props = popgcn.build_propagation_matrices(ds)
+        assert len(props) == 3
+        assert calls == [(ds.n_nodes, ds.n_nodes)] * 6
 
     def test_restricting_rules_restricts_graphs(self):
         ds = quick_dataset()
