@@ -295,15 +295,14 @@ def _set_up(args) -> tuple[RunConfig, Dataset, TrainConfig]:
 
 
 def cmd_synth(args) -> int:
-    informative = tuple(
-        _parse_informative_flag(spec) for spec in (args.informative or [])
-    ) or (("informative", 0.9),)
-    noise = tuple(args.noise or []) or ("noise",)
-    config = SynthConfig(n_nodes=args.nodes, n_features=args.features,
-                         n_classes=args.classes,
-                         class_separation=args.separation,
-                         informative_elements=informative,
-                         noise_elements=noise, seed=args.seed)
+    given = {"n_nodes": args.nodes, "n_features": args.features,
+             "n_classes": args.classes, "class_separation": args.separation,
+             "informative_elements": args.informative and tuple(
+                 _parse_informative_flag(spec) for spec in args.informative),
+             "noise_elements": args.noise and tuple(args.noise),
+             "seed": args.seed}
+    config = SynthConfig(**{key: value for key, value in given.items()
+                            if value is not None})
     paths = save_dataset(generate_synthetic(config), args.out)
     for name in ("features", "labels", "demographics"):
         print(f"{name}: {paths[name]}")
@@ -377,27 +376,31 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradcheck_instances(seed=args.seed, instances=args.instances,
-                                  n_coords=args.coords)
+    for flag, value, least in (("--seed", args.seed, 0),
+                               ("--instances", args.instances, 1)):
+        if value < least:
+            raise ConfigError(flag, f"must be at least {least}, got {value}")
+    results = gradcheck_instances(args.seed, args.instances)
     worst = 0.0
     for i, (n_nodes, err) in enumerate(results):
         print(f"instance {i}: n={n_nodes} max_rel_err={err:.3e}")
         worst = max(worst, err)
     print(f"max_relative_error={worst:.3e}")
-    if worst < args.tol:
+    if worst < GRADCHECK_TOLERANCE:
         return 0
-    print(f"error: gradient check failed: {worst:.3e} >= {args.tol:g}",
-          file=sys.stderr)
+    print(f"error: gradient check failed: {worst:.3e} >= "
+          f"{GRADCHECK_TOLERANCE:g}", file=sys.stderr)
     return 1
 
 
-def gradcheck_instances(seed: int = 0, instances: int = 5, n_coords=None,
-                        hidden_dims=(16,)) -> list[tuple[int, float]]:
-    """Finite-difference checks on small random two-branch instances.
+def gradcheck_instances(seed: int, instances: int) -> list[tuple[int, float]]:
+    """Finite-difference checks of every coordinate on small random
+    two-branch instances under the default ``TrainConfig``.
 
     Returns one (n_nodes, max_relative_error) pair per instance.
     """
     results = []
+    config = TrainConfig()
     root = np.random.SeedSequence(seed)
     for child in root.spawn(instances):
         rng = np.random.default_rng(child)
@@ -407,12 +410,10 @@ def gradcheck_instances(seed: int = 0, instances: int = 5, n_coords=None,
             informative_elements=(("informative", 0.8),),
             noise_elements=("noise",), seed=int(rng.integers(0, 2 ** 31)))
         dataset = generate_synthetic(synth)
-        config = TrainConfig(hidden_dims=tuple(hidden_dims))
         params = init_params(dataset.n_features, config.hidden_dims,
                              dataset.n_classes, dataset.n_elements, rng)
         err = finite_diff_check(dataset, params, config,
-                                seed=int(rng.integers(0, 2 ** 31)),
-                                n_coords=n_coords)
+                                seed=int(rng.integers(0, 2 ** 31)))
         results.append((n_nodes, float(err)))
     return results
 
@@ -426,11 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="write a synthetic dataset as CSVs")
     synth.add_argument("--out", required=True, help="output directory")
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--nodes", type=int, default=300)
-    synth.add_argument("--features", type=int, default=20)
-    synth.add_argument("--classes", type=int, default=3)
-    synth.add_argument("--separation", type=float, default=1.0)
+    synth.add_argument("--seed", type=int)
+    synth.add_argument("--nodes", type=int)
+    synth.add_argument("--features", type=int)
+    synth.add_argument("--classes", type=int)
+    synth.add_argument("--separation", type=float)
     synth.add_argument("--informative", action="append", metavar="NAME:CORR",
                        help="informative element, repeatable "
                             "(default informative:0.9)")
@@ -470,10 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="finite-difference gradient verification")
     grad.add_argument("--seed", type=int, default=0)
     grad.add_argument("--instances", type=int, default=5)
-    grad.add_argument("--coords", type=int, default=None,
-                      help="random coordinate subsample per instance "
-                           "(default: all)")
-    grad.add_argument("--tol", type=float, default=GRADCHECK_TOLERANCE)
     grad.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -192,16 +192,18 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
 
 
 def _read_csv_matrix(path, *, header: bool):
-    """Parse a numeric CSV into (header_names, float matrix).
+    """Parse a numeric CSV into (header_names, float matrix, line numbers).
 
-    Blank lines are skipped. A cell must be a finite number. Errors name the
-    file, row, and column.
+    Blank lines are skipped. A cell must be a finite number. Each data row's
+    0-based file line (a header and blank lines count) is returned, and
+    every error about the file names a row by that line, with the column.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: file not found")
     names = None
     rows: list[list[float]] = []
+    lines: list[int] = []
     with open(path, newline="") as handle:
         for line_no, row in enumerate(csv.reader(handle)):
             if not row or all(not cell.strip() for cell in row):
@@ -223,14 +225,15 @@ def _read_csv_matrix(path, *, header: bool):
                         f"at row {line_no}, column {col}")
                 values.append(value)
             rows.append(values)
+            lines.append(line_no)
     if not rows:
         raise DataError(f"{path}: no data rows")
     width = len(rows[0])
-    for i, values in enumerate(rows):
+    for line_no, values in zip(lines, rows):
         if len(values) != width:
-            raise DataError(
-                f"{path}: data row {i} has {len(values)} columns, expected {width}")
-    return names, np.array(rows, dtype=np.float64)
+            raise DataError(f"{path}: row {line_no} has {len(values)} "
+                            f"columns, expected {width}")
+    return names, np.array(rows, dtype=np.float64), lines
 
 
 def load_dataset(features_path, labels_path, demographics_path) -> Dataset:
@@ -240,9 +243,9 @@ def load_dataset(features_path, labels_path, demographics_path) -> Dataset:
     with a header row naming the elements. Row counts must agree across files,
     and the labels must use every class id from 0 to their maximum.
     """
-    _, features = _read_csv_matrix(features_path, header=False)
-    _, raw_labels = _read_csv_matrix(labels_path, header=False)
-    names, demographics = _read_csv_matrix(demographics_path, header=True)
+    _, features, _ = _read_csv_matrix(features_path, header=False)
+    _, raw_labels, label_lines = _read_csv_matrix(labels_path, header=False)
+    names, demographics, _ = _read_csv_matrix(demographics_path, header=True)
     if raw_labels.shape[1] != 1:
         raise DataError(
             f"{labels_path}: expected a single label column, "
@@ -266,7 +269,8 @@ def load_dataset(features_path, labels_path, demographics_path) -> Dataset:
         rows = np.flatnonzero(bad)
         if rows.size:
             raise DataError(f"{labels_path}: {kind} label "
-                            f"{float(column[rows[0]])} at row {rows[0]}")
+                            f"{float(column[rows[0]])} "
+                            f"at row {label_lines[rows[0]]}")
     labels = column.astype(np.int64)
     present = np.unique(labels)  # sorted, so a gap shifts ids past their index
     gaps = np.flatnonzero(present != np.arange(present.size))

@@ -18,7 +18,6 @@ The hand-written backward pass is verified against finite differences.
 from __future__ import annotations
 
 import copy
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .graph import PropagationMatrix, build_propagation_matrices
 
 PROB_FLOOR = 1e-12
 REL_ERR_FLOOR = 1e-3
+_FD_STEP = 1e-5
 
 
 @dataclass
@@ -291,17 +291,15 @@ def compute_gradients(trace: ForwardTrace, labels, mask, class_weights,
     return Gradients(layers=layer_grads, omega=omega_grad)
 
 
-def finite_diff_check(dataset, params: ModelParams, config, seed,
-                      n_coords=None, step: float = 1e-5) -> float:
+def finite_diff_check(dataset, params: ModelParams, config, seed) -> float:
     """Compare analytic gradients against central finite differences.
 
     Runs with dropout disabled on a deterministic masked-loss objective (a
     stratified ~70% node subset) and returns the largest relative error over
-    the probed coordinates. ``config`` needs ``edge_rules`` and ``l2_coeff``
-    attributes. The relative error divides by max(|analytic|, |numeric|,
-    1e-3); the floor keeps finite-difference roundoff on near-zero coordinates
-    from dominating. ``n_coords=None`` probes every coordinate; an empty probe
-    set returns 0.0 with a warning.
+    every coordinate of every filter and of omega, each probed with a step of
+    1e-5. ``config`` needs ``edge_rules`` and ``l2_coeff`` attributes. The
+    relative error divides by max(|analytic|, |numeric|, 1e-3); the floor
+    keeps finite-difference roundoff on near-zero coordinates from dominating.
     """
     rng = np.random.default_rng(seed)
     props = build_propagation_matrices(dataset, config.edge_rules)
@@ -327,32 +325,18 @@ def finite_diff_check(dataset, params: ModelParams, config, seed,
 
     work = params.copy()
     # every filter layer, then omega; analytic gradients in the same order
-    tensors = [*work.layers, work.omega]
-    exact_grads = [*analytic.layers, analytic.omega]
-    coords = [(t, flat) for t, tensor in enumerate(tensors)
-              for flat in range(tensor.size)]
-    if n_coords is not None and n_coords < len(coords):
-        if n_coords <= 0:
-            coords = []
-        else:
-            chosen = rng.choice(len(coords), size=n_coords, replace=False)
-            coords = [coords[i] for i in chosen]
-    if not coords:
-        warnings.warn("no coordinates probed; returning 0.0", RuntimeWarning,
-                      stacklevel=2)
-        return 0.0
-
     max_err = 0.0
-    for t, flat in coords:
-        tensor = tensors[t]
-        original = tensor.flat[flat]
-        tensor.flat[flat] = original + step
-        upper = objective(work)
-        tensor.flat[flat] = original - step
-        lower = objective(work)
-        tensor.flat[flat] = original
-        numeric = (upper - lower) / (2.0 * step)
-        exact = exact_grads[t].flat[flat]
-        denom = max(abs(exact), abs(numeric), REL_ERR_FLOOR)
-        max_err = max(max_err, abs(exact - numeric) / denom)
+    for tensor, exact_grad in zip([*work.layers, work.omega],
+                                  [*analytic.layers, analytic.omega]):
+        for flat in range(tensor.size):
+            original = tensor.flat[flat]
+            tensor.flat[flat] = original + _FD_STEP
+            upper = objective(work)
+            tensor.flat[flat] = original - _FD_STEP
+            lower = objective(work)
+            tensor.flat[flat] = original
+            numeric = (upper - lower) / (2.0 * _FD_STEP)
+            exact = exact_grad.flat[flat]
+            denom = max(abs(exact), abs(numeric), REL_ERR_FLOOR)
+            max_err = max(max_err, abs(exact - numeric) / denom)
     return max_err

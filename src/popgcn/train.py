@@ -78,14 +78,15 @@ class TrainConfig:
 
 
 class Adam:
-    """Adaptive-moment optimizer with per-tensor state and bias correction."""
+    """Adaptive-moment optimizer with per-tensor state and bias correction,
+    on the moment decays and epsilon of Kingma and Ba (2015)."""
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._state: dict = {}
 
     def update(self, key, param: np.ndarray, grad: np.ndarray) -> None:
@@ -125,11 +126,10 @@ def accuracy(probabilities, labels, idx) -> float:
 
 def confusion_matrix(labels, predictions, idx, n_classes: int) -> np.ndarray:
     """K x K counts over ``idx``; rows are true classes, columns predictions."""
+    idx = np.asarray(idx, dtype=np.int64)
     out = np.zeros((n_classes, n_classes), dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    predictions = np.asarray(predictions, dtype=np.int64)
-    for i in np.asarray(idx, dtype=np.int64):
-        out[labels[i], predictions[i]] += 1
+    np.add.at(out, (np.asarray(labels, dtype=np.int64)[idx],
+                    np.asarray(predictions, dtype=np.int64)[idx]), 1)
     return out
 
 
@@ -256,7 +256,6 @@ def evaluate(model: TrainedModel, dataset: Dataset, test_idx,
         "accuracy": accuracy(probs, dataset.labels, test_idx),
         "per_class_accuracy": per_class,
         "confusion": confusion.tolist(),
-        "n_test": int(test_idx.size),
     }
     if train_idx is not None:
         metrics["train_accuracy"] = accuracy(probs, dataset.labels, train_idx)
@@ -316,8 +315,7 @@ def _cross_validate(dataset: Dataset, config: TrainConfig,
     """Train on ``props`` and score every fold of ``config``'s split.
 
     A fold's entry holds its ``evaluate`` metrics, ``train_accuracy``
-    included and ``n_test`` left out (the confusion rows count the test
-    nodes), plus the fold id, the raw and normalized fusion weights, the
+    included, plus the fold id, the raw and normalized fusion weights, the
     best and stopped epochs and ``wall_clock_sec``. The report echoes
     ``config`` with its edge rules resolved by ``rules_or_defaults``.
     """
@@ -328,7 +326,6 @@ def _cross_validate(dataset: Dataset, config: TrainConfig,
         model = train_model(dataset, props, config, fold_seed,
                             train_idx=fold.train_idx)
         metrics = evaluate(model, dataset, fold.test_idx, fold.train_idx)
-        del metrics["n_test"]
         omega = model.params.omega
         scale = float(np.sum(np.abs(omega)))
         entries.append({

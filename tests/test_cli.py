@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import popgcn
+from popgcn import model as model_mod
 from popgcn.cli import (ConfigError, RunConfig, _default_subsets,
                         ablate_graph_subsets, gradcheck_instances,
                         load_run_config, main, parse_run_config,
@@ -310,8 +311,18 @@ class TestSynthCommand:
                      "--informative", "site:0.7", "--noise", "scanner"])
         assert code == 0
         paths = self._paths_from_stdout(capsys.readouterr().out)
-        header = open(paths["demographics"]).readline().strip()
+        with open(paths["demographics"]) as handle:
+            header = handle.readline().strip()
         assert header == "site,scanner"
+
+    def test_no_flags_writes_the_default_recipe(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
+        written = self._paths_from_stdout(capsys.readouterr().out)
+        expected = popgcn.save_dataset(
+            popgcn.generate_synthetic(popgcn.SynthConfig()), tmp_path / "lib")
+        assert set(written) == set(expected)
+        for key, path in expected.items():
+            assert Path(written[key]).read_bytes() == path.read_bytes()
 
     def test_bad_informative_flag(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path), "--informative", "site"])
@@ -402,6 +413,24 @@ class TestCvCommand:
         assert main(["cv", "--config", config]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {paths[file]}: {message}"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("7", "out-of-range (above 2) label 7.0 at row 3"),
+        ("nan", "non-finite value 'nan' at row 3, column 0"),
+        ("1,2", "row 3 has 2 columns, expected 1"),
+    ], ids=["label-check", "reader", "width-check"])
+    def test_bad_label_row_is_its_file_line(self, tmp_path, capsys, text,
+                                            message):
+        # labels "0, blank, 1, <bad>" for three nodes: every check names
+        # the bad value's file line 3, the blank line 1 included
+        ds = popgcn.Dataset(np.eye(3), [0, 1, 0], np.zeros((3, 1)), ("e",), 2)
+        paths = popgcn.save_dataset(ds, tmp_path / "data")
+        paths["labels"].write_text(f"0\n\n1\n{text}\n")
+        config = write_config(tmp_path, data={
+            key: str(path) for key, path in paths.items()})
+        assert main(["graph-stats", "--config", config]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {paths['labels']}: {message}"]
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["cv", "--config", str(tmp_path / "absent.json")])
@@ -587,18 +616,39 @@ class TestCompareCommand:
 
 class TestGradcheckCommand:
     def test_passes_and_prints_per_instance(self, capsys):
-        code = main(["gradcheck", "--instances", "2", "--coords", "25"])
+        code = main(["gradcheck", "--instances", "2"])
         out = capsys.readouterr().out
         assert code == 0
         assert "instance 0:" in out and "instance 1:" in out
         assert "max_relative_error=" in out
 
-    def test_impossible_tolerance_fails(self, capsys):
-        code = main(["gradcheck", "--instances", "1", "--coords", "10",
-                     "--tol", "1e-30"])
+    def test_impossible_tolerance_fails(self, capsys, monkeypatch):
+        # a gradient off by 0.5 in omega cannot meet the 1e-5 bound
+        true_compute = model_mod.compute_gradients
+
+        def corrupted(*args, **kwargs):
+            grads = true_compute(*args, **kwargs)
+            grads.omega = grads.omega + 0.5
+            return grads
+
+        monkeypatch.setattr(model_mod, "compute_gradients", corrupted)
+        code = main(["gradcheck", "--instances", "1"])
         assert code == 1
         assert "gradient check failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--instances", "0"], "--instances"),
+        (["--instances", "-1"], "--instances"),
+        (["--seed", "-1"], "--seed"),
+    ], ids=["no-instances", "negative-instances", "negative-seed"])
+    def test_out_of_range_flag_is_one_error_line(self, capsys, flags, flag):
+        assert main(["gradcheck", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: config: {flag}: ")
+
     def test_instances_deterministic(self):
-        assert gradcheck_instances(seed=3, instances=2, n_coords=15) == \
-            gradcheck_instances(seed=3, instances=2, n_coords=15)
+        assert gradcheck_instances(seed=3, instances=2) == \
+            gradcheck_instances(seed=3, instances=2)

@@ -486,8 +486,7 @@ class TestFiniteDifference:
         params = popgcn.init_params(ds.n_features, (4,), ds.n_classes,
                                     ds.n_elements, np.random.default_rng(13))
         err = popgcn.finite_diff_check(ds, params,
-                                       quick_config(dropout_rate=0.5), seed=2,
-                                       n_coords=40)
+                                       quick_config(dropout_rate=0.5), seed=2)
         assert err < 1e-5
 
     def test_detects_corrupted_gradient(self, monkeypatch):
@@ -504,12 +503,3 @@ class TestFiniteDifference:
         monkeypatch.setattr(model_mod, "compute_gradients", corrupted)
         err = popgcn.finite_diff_check(ds, params, quick_config(), seed=3)
         assert err > 1e-2
-
-    def test_empty_probe_warns(self):
-        ds = quick_dataset()
-        params = popgcn.init_params(ds.n_features, (), ds.n_classes,
-                                    ds.n_elements, np.random.default_rng(15))
-        with pytest.warns(RuntimeWarning, match="no coordinates"):
-            err = popgcn.finite_diff_check(ds, params, quick_config(), seed=4,
-                                           n_coords=0)
-        assert err == 0.0
