@@ -324,8 +324,8 @@ def finite_diff_check(dataset, params: ModelParams, config, seed) -> float:
     analytic = compute_gradients(trace, labels, mask, weights, l2, params)
 
     work = params.copy()
-    # every filter layer, then omega; analytic gradients in the same order
     max_err = 0.0
+    # every filter layer, then omega; analytic gradients in the same order
     for tensor, exact_grad in zip([*work.layers, work.omega],
                                   [*analytic.layers, analytic.omega]):
         for flat in range(tensor.size):
