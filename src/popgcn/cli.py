@@ -485,6 +485,10 @@ def main(argv=None) -> int:
     except (DataError, GraphError, TrainingError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:
+        detail = f": {err}" if str(err) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

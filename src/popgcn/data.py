@@ -145,6 +145,15 @@ class SynthConfig:
         if self.n_features < self.n_classes:
             raise DataError(
                 "class mean placement needs n_features >= n_classes")
+        # NumPy cannot index an array with more entries than intp can count
+        limit = np.iinfo(np.intp).max
+        nodes, dims = int(self.n_nodes), int(self.n_features)
+        if nodes * nodes > limit:
+            raise DataError(f"n_nodes {nodes} makes an N x N graph of more "
+                            f"than {limit} entries")
+        if nodes * dims > limit:
+            raise DataError(f"n_nodes x n_features = {nodes} x {dims} makes a "
+                            f"feature matrix of more than {limit} entries")
         if not math.isfinite(self.class_separation):
             raise DataError(f"class_separation must be finite, got "
                             f"{self.class_separation}")

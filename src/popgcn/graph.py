@@ -57,6 +57,25 @@ class EdgeRule:
                 f"threshold rules need beta > 0, got {self.beta}", "beta")
 
 
+# Edge of the square tiles the symmetry scan compares with their mirrors. A
+# pair of 256 x 256 float64 tiles (1 MB) stays in cache while the mirror is
+# read column-wise; the full-matrix ``array.T`` read misses on every row.
+_SYMMETRY_TILE = 256
+
+
+def _exactly_symmetric(array: np.ndarray) -> bool:
+    """``np.array_equal(array, array.T)`` for a square 2-D array, computed
+    one tile on or above the diagonal at a time against its mirror tile."""
+    n = array.shape[0]
+    for i in range(0, n, _SYMMETRY_TILE):
+        rows = slice(i, i + _SYMMETRY_TILE)
+        for j in range(i, n, _SYMMETRY_TILE):
+            cols = slice(j, j + _SYMMETRY_TILE)
+            if not np.array_equal(array[rows, cols], array[cols, rows].T):
+                return False
+    return True
+
+
 def _symmetric_float64(array, what: str) -> np.ndarray:
     """``array`` as float64, checked square, finite and exactly symmetric."""
     array = np.asarray(array, dtype=np.float64)
@@ -64,7 +83,7 @@ def _symmetric_float64(array, what: str) -> np.ndarray:
         raise GraphError(f"{what} must be square, got {array.shape}")
     if not np.all(np.isfinite(array)):
         raise GraphError(f"{what} must be finite")
-    if not np.array_equal(array, array.T):
+    if not _exactly_symmetric(array):
         raise GraphError(f"{what} must be exactly symmetric")
     return array
 
@@ -133,10 +152,11 @@ def build_edge_matrix(delta_column, rule: EdgeRule) -> np.ndarray:
     if bad.size:
         raise GraphError(f"non-finite demographic value at row {bad[0]}")
     if rule.kind == THRESHOLD:
-        edges = np.abs(column[:, None] - column[None, :]) < rule.beta
+        # one N x N buffer: the differences, their magnitudes, then 0.0/1.0
+        edges = column[:, None] - column[None, :]
+        np.less(np.abs(edges, out=edges), rule.beta, out=edges)
     else:
-        edges = column[:, None] == column[None, :]
-    edges = edges.astype(np.float64)
+        edges = (column[:, None] == column[None, :]).astype(np.float64)
     np.fill_diagonal(edges, 0.0)
     return edges
 

@@ -168,6 +168,12 @@ class TestParseRunConfig:
     ({"train": {**QUICK_TRAIN, "learning_rate": -2 ** 63 - 1}}, "train"),
     ({"data": {"synth": {**SYNTH_RECIPE, "class_separation": -2 ** 63 - 1}}},
      "data.synth"),
+    # sizes whose N x N graph or N x d features no array can hold
+    ({"data": {"synth": {**SYNTH_RECIPE, "n_nodes": 10 ** 300}}}, "data.synth"),
+    ({"data": {"synth": {**SYNTH_RECIPE, "n_nodes": 4_000_000_000}}},
+     "data.synth"),
+    ({"data": {"synth": {**SYNTH_RECIPE, "n_features": 2 ** 62}}},
+     "data.synth"),
 ])
 def test_malformed_field_named_through_main(tmp_path, capsys, extra, field):
     config = write_config(tmp_path, **extra)
@@ -175,6 +181,21 @@ def test_malformed_field_named_through_main(tmp_path, capsys, extra, field):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: config: {field}: ")
+
+
+@pytest.mark.parametrize("raised, line", [
+    (MemoryError("Unable to allocate 8.00 GiB"),
+     "error: out of memory: Unable to allocate 8.00 GiB"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch, raised,
+                                  line):
+    def exhausted(config):
+        raise raised
+
+    monkeypatch.setattr(popgcn.cli, "generate_synthetic", exhausted)
+    assert main(["cv", "--config", write_config(tmp_path)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [line]
 
 
 def test_negative_seed_flag_named_through_main(tmp_path, capsys):

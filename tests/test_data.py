@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,18 @@ class TestSynthetic:
         with pytest.raises(DataError):
             popgcn.SynthConfig(informative_elements=(("dup", 0.5),),
                                noise_elements=("dup",))
+
+    def test_rejects_sizes_no_array_can_hold(self):
+        # construction allocates nothing, so the limits are probed exactly
+        limit = np.iinfo(np.intp).max
+        side = math.isqrt(limit)
+        popgcn.SynthConfig(n_nodes=side, n_features=3)
+        for nodes in (side + 1, 4_000_000_000, 10 ** 300):
+            with pytest.raises(DataError, match=f"n_nodes {nodes} makes"):
+                popgcn.SynthConfig(n_nodes=nodes, n_features=3)
+        popgcn.SynthConfig(n_nodes=300, n_features=limit // 300)
+        with pytest.raises(DataError, match="n_nodes x n_features"):
+            popgcn.SynthConfig(n_nodes=300, n_features=limit // 300 + 1)
 
     def test_rejects_non_finite_class_separation(self):
         for value in (float("nan"), float("inf")):

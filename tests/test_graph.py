@@ -4,9 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import popgcn
+from popgcn import graph
 from popgcn.data import DataError
 from popgcn.graph import GraphError
 from helpers import quick_dataset
+
+TILE = graph._SYMMETRY_TILE
+
+
+def _symmetric(n, seed=0):
+    values = np.random.default_rng(seed).random((n, n))
+    return values + values.T
 
 
 class TestEdgeRule:
@@ -82,6 +90,59 @@ class TestBuildEdgeMatrix:
         column = np.array(values, dtype=np.float64)
         assert np.array_equal(popgcn.build_edge_matrix(column, rule),
                               popgcn.build_edge_matrix(column + shift, rule))
+
+
+    @pytest.mark.parametrize("n", [TILE + 1, 600])
+    @pytest.mark.parametrize("integers", [False, True])
+    def test_threshold_matches_the_unfused_formula(self, n, integers):
+        # integer values put many differences exactly at beta
+        rng = np.random.default_rng(n)
+        column = (rng.integers(0, 40, n).astype(np.float64) if integers
+                  else rng.normal(50.0, 10.0, n))
+        beta = 3.0 if integers else 0.5 * float(column.std())
+        expected = (np.abs(column[:, None] - column[None, :]) < beta
+                    ).astype(float)
+        np.fill_diagonal(expected, 0.0)
+        edges = popgcn.build_edge_matrix(
+            column, popgcn.EdgeRule("score", popgcn.THRESHOLD, beta))
+        assert edges.dtype == np.float64
+        assert edges.tobytes() == expected.tobytes()
+
+
+class TestSymmetryScan:
+    @staticmethod
+    def flip_sites(n):
+        """Entries in the first diagonal tile, an off-diagonal tile, the
+        last column of tiles (partial unless n is a multiple of the tile)
+        and the last diagonal tile, each with its mirror."""
+        if n < 2:
+            return []
+        sites = {(0, 1), (0, n - 1), (n - 1, n - 2)}
+        if n > TILE:
+            sites.add((1, TILE))
+        return sorted(sites | {(j, i) for i, j in sites})
+
+    @pytest.mark.parametrize("n", [1, 2, TILE - 1, TILE, TILE + 1,
+                                   2 * TILE + 3])
+    def test_verdict_is_the_full_comparison(self, n):
+        array = _symmetric(n)
+        assert graph._exactly_symmetric(array)
+        assert np.array_equal(array, array.T)
+        for i, j in self.flip_sites(n):
+            flipped = array.copy()
+            flipped[i, j] = np.nextafter(flipped[i, j], 3.0)
+            assert not np.array_equal(flipped, flipped.T)
+            assert not graph._exactly_symmetric(flipped), (i, j)
+
+    @pytest.mark.parametrize("build", [popgcn.AffinityMatrix,
+                                       popgcn.PropagationMatrix])
+    def test_asymmetry_past_one_tile_rejected(self, build):
+        n = TILE + 5
+        weights = _symmetric(n)
+        np.fill_diagonal(weights, 0.0)
+        weights[1, n - 1] = np.nextafter(weights[1, n - 1], 3.0)
+        with pytest.raises(GraphError, match="must be exactly symmetric"):
+            build(weights)
 
 
 class TestSimilarityMatrix:
@@ -302,6 +363,44 @@ class TestBuildMatrices:
         props = popgcn.build_propagation_matrices(ds)
         assert len(props) == 3
         assert calls == [(ds.n_nodes, ds.n_nodes)] * 6
+
+    def test_each_graph_array_scanned_once_past_one_tile(self, monkeypatch):
+        # many tile pairs per array, still one symmetry scan per array
+        ds = quick_dataset(n_nodes=2 * TILE + 3,
+                           noise_elements=("noise", "site"))
+        calls = []
+        scan = graph._exactly_symmetric
+
+        def counting(array):
+            calls.append(array.shape)
+            return scan(array)
+
+        monkeypatch.setattr(graph, "_exactly_symmetric", counting)
+        props = popgcn.build_propagation_matrices(ds)
+        assert len(props) == 3
+        assert calls == [(ds.n_nodes, ds.n_nodes)] * 6
+
+    def test_operators_match_the_unfused_formulas(self):
+        # an equality rule and two threshold rules on a graph of many tiles
+        ds = quick_dataset(n_nodes=TILE + 44, n_features=12,
+                           noise_elements=("noise", "site"))
+        rules = popgcn.default_edge_rules(ds)
+        assert {rule.kind for rule in rules} == {popgcn.EQUALITY,
+                                                 popgcn.THRESHOLD}
+        sim = popgcn.similarity_matrix(ds.features)
+        props = popgcn.build_propagation_matrices(ds, rules)
+        for rule, prop in zip(rules, props):
+            column = ds.demographics[:, ds.element_index(rule.element)]
+            if rule.kind == popgcn.THRESHOLD:
+                edges = np.abs(column[:, None] - column[None, :]) < rule.beta
+            else:
+                edges = column[:, None] == column[None, :]
+            edges = edges.astype(np.float64)
+            np.fill_diagonal(edges, 0.0)
+            augmented = sim * edges + np.eye(ds.n_nodes)
+            scale = 1.0 / np.sqrt(augmented.sum(axis=1))
+            expected = augmented * np.outer(scale, scale)
+            assert prop.matrix.tobytes() == expected.tobytes()
 
     def test_restricting_rules_restricts_graphs(self):
         ds = quick_dataset()
