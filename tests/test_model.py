@@ -489,6 +489,45 @@ class TestFiniteDifference:
                                        quick_config(dropout_rate=0.5), seed=2)
         assert err < 1e-5
 
+    def test_gradients_under_active_dropout(self):
+        # every forward reseeds its rng, so the masks stay fixed and the loss
+        # is a deterministic function of the parameters; two hidden layers
+        # put the feature mask, a hidden mask and a ReLU gate on the path
+        ds = quick_dataset()
+        props = popgcn.build_propagation_matrices(ds)
+        params = popgcn.init_params(ds.n_features, (6, 4), ds.n_classes,
+                                    len(props), np.random.default_rng(15))
+        mask = np.arange(ds.n_nodes)
+        weights = popgcn.class_weights(ds.labels, mask)
+
+        def forward(candidate):
+            return popgcn.model_forward(props, ds.features, candidate, 0.5,
+                                        np.random.default_rng(23),
+                                        training=True)
+
+        def loss(candidate):
+            return (popgcn.weighted_cross_entropy(
+                forward(candidate).probabilities, ds.labels, mask, weights)
+                + popgcn.regularization_term(candidate, 1e-3))
+
+        analytic = popgcn.compute_gradients(forward(params), ds.labels, mask,
+                                            weights, 1e-3, params)
+        step, work, max_err = model_mod._FD_STEP, params.copy(), 0.0
+        for tensor, exact_grad in zip([*work.layers, work.omega],
+                                      [*analytic.layers, analytic.omega]):
+            for flat in range(tensor.size):
+                original = tensor.flat[flat]
+                tensor.flat[flat] = original + step
+                upper = loss(work)
+                tensor.flat[flat] = original - step
+                lower = loss(work)
+                tensor.flat[flat] = original
+                numeric = (upper - lower) / (2.0 * step)
+                exact = exact_grad.flat[flat]
+                denom = max(abs(exact), abs(numeric), model_mod.REL_ERR_FLOOR)
+                max_err = max(max_err, abs(exact - numeric) / denom)
+        assert max_err < 1e-5
+
     def test_detects_corrupted_gradient(self, monkeypatch):
         ds = quick_dataset()
         params = popgcn.init_params(ds.n_features, (4,), ds.n_classes,
