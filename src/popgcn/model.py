@@ -8,7 +8,8 @@ operators one branch at a time, so no (M, N, d) operator product is held,
 and it applies each operator to the narrower side of the layer: a layer
 that narrows filters before it propagates (``P @ (H @ theta)``, as in Kipf
 and Welling 2017), one that widens or keeps its width propagates first. The
-"no graph" operator of the baselines applies without a product.
+"no graph" operator of the baselines applies without a product. Dropout
+is applied once, in ``model_forward``; the kernels take dropped operands.
 Trainable scalars omega fuse the (M, N, K) branch logits linearly before a
 row-wise softmax. Inputs are checked once, where they enter (``ModelParams``,
 ``model_forward``); nothing in the epoch loop scans an array to validate it.
@@ -72,25 +73,18 @@ class ModelParams:
 class ForwardTrace:
     """Everything one forward pass produced, enough to backpropagate exactly.
 
-    Per layer: the (M, N, d) input before dropout (for the first layer a
-    broadcast view of the shared features, not a copy), the (M, N, d)
-    inverted-scaling dropout masks (None when nothing was dropped), and the
-    (M, N, d_out) preactivations ``P_m @ (input_m * mask_m) @ theta_m``,
-    multiplied in the order ``gc_layer_forward`` picks. The last layer's
-    preactivations are the branch logits.
+    Per layer, the (M, N, d) operand the layer multiplied: its (rectified)
+    input times the dropout mask, or without dropout the input itself (for
+    the first layer a broadcast view of the features, not a copy). The
+    nonzero mask value is ``dropout_scale``, 1 / (1 - rate), or 1.0.
     """
 
     props: list[PropagationMatrix]
     layer_inputs: list[np.ndarray]
-    dropout_masks: list[np.ndarray | None]
-    preactivations: list[np.ndarray]
+    dropout_scale: float
+    logits: np.ndarray
     fused_logits: np.ndarray
     probabilities: np.ndarray
-
-    @property
-    def logits(self) -> np.ndarray:
-        """(M, N, K) branch logits."""
-        return self.preactivations[-1]
 
 
 def glorot_uniform(shape, rng) -> np.ndarray:
@@ -115,43 +109,40 @@ def init_params(n_features: int, hidden_dims, n_classes: int, n_branches: int,
                        omega=np.full(n_branches, 1.0 / n_branches))
 
 
-def gc_layer_forward(props, hidden, masks, theta) -> np.ndarray:
+def gc_layer_forward(props, hidden, theta) -> np.ndarray:
     """One graph convolution on every branch, before the activation.
 
-    ``out[m] = P_m @ (hidden[m] * masks[m]) @ theta[m]`` for an (M, N, d)
-    ``hidden``; ``masks`` is None when nothing is dropped. Branches run one
-    at a time, so only one (N, d) product is live. P_m is applied to the
-    narrower operand: after the filter when the layer narrows
-    (d_out < d_in), which costs N*d_in*d_out + N^2*d_out instead of
-    N^2*d_in + N*d_in*d_out, and before it otherwise. The two orders agree
-    up to rounding.
+    ``out[m] = P_m @ hidden[m] @ theta[m]`` for an (M, N, d) ``hidden``,
+    already dropped out. Branches run one at a time, so only one (N, d)
+    product is live. P_m is applied to the narrower operand: after the
+    filter when the layer narrows (d_out < d_in), which costs
+    N*d_in*d_out + N^2*d_out instead of N^2*d_in + N*d_in*d_out, and before
+    it otherwise. The two orders agree up to rounding.
     """
     narrows = theta.shape[2] < theta.shape[1]
     out = np.empty((theta.shape[0], hidden.shape[1], theta.shape[2]))
     for m, prop in enumerate(props):
-        dropped = hidden[m] if masks is None else hidden[m] * masks[m]
         if narrows:
-            out[m] = prop.apply(dropped @ theta[m])
+            out[m] = prop.apply(hidden[m] @ theta[m])
         else:
-            out[m] = prop.apply(dropped) @ theta[m]
+            out[m] = prop.apply(hidden[m]) @ theta[m]
     return out
 
 
-def _layer_backward(props, hidden, masks, grad_out):
+def _layer_backward(props, hidden, grad_out):
     """Backward counterpart of ``gc_layer_forward``, one branch at a time.
 
     Returns ``propagated[m] = P_m @ grad_out[m]`` (each P is exactly
     symmetric, so this is ``P_m.T @ grad_out[m]``) and the data part of the
-    filter gradient, ``(hidden[m] * masks[m]).T @ propagated[m]``. Either
-    way the forward pass ordered the layer, P_m meets the (N, d_out)
-    gradient here, the narrow side of a narrowing layer.
+    filter gradient, ``hidden[m].T @ propagated[m]``. Either way the forward
+    pass ordered the layer, P_m meets the (N, d_out) gradient here, the
+    narrow side of a narrowing layer.
     """
     propagated = np.empty_like(grad_out)
     theta_grad = np.empty((len(props), hidden.shape[2], grad_out.shape[2]))
     for m, prop in enumerate(props):
-        dropped = hidden[m] if masks is None else hidden[m] * masks[m]
         propagated[m] = prop.apply(grad_out[m])
-        theta_grad[m] = dropped.T @ propagated[m]
+        theta_grad[m] = hidden[m].T @ propagated[m]
     return propagated, theta_grad
 
 
@@ -199,9 +190,10 @@ def model_forward(props, features, params: ModelParams, dropout_rate: float = 0.
     """Forward pass over all branches, fused into row-stochastic probabilities.
 
     During training every layer input (the feature matrix included) is
-    dropped out with inverted scaling, so inference needs no rescaling.
-    Hidden layers are rectified; the last layer emits raw branch logits,
-    fused as ``sum_m omega_m * logits_m``.
+    multiplied in place into an inverted-scaling dropout mask, all drawn up
+    front, branch by branch and input to output, so inference needs no
+    rescaling. Hidden layers are rectified; the last layer emits raw branch
+    logits, fused as ``sum_m omega_m * logits_m``.
     """
     features = np.asarray(features, dtype=np.float64)
     if len(props) != params.n_branches:
@@ -212,7 +204,7 @@ def model_forward(props, features, params: ModelParams, dropout_rate: float = 0.
         raise ValueError(
             f"shapes do not chain: prop on {props[0].n_nodes} nodes, "
             f"features {features.shape}, first layer {params.layers[0].shape}")
-    masks = [None] * params.n_layers
+    masks, scale = [None] * params.n_layers, 1.0
     if training and dropout_rate > 0.0:
         if rng is None:
             raise ValueError("training with dropout needs an rng")
@@ -223,16 +215,18 @@ def model_forward(props, features, params: ModelParams, dropout_rate: float = 0.
             for mask in masks:
                 np.divide(rng.random(mask.shape[1:]) >= dropout_rate,
                           1.0 - dropout_rate, out=mask[m])
+        scale = 1.0 / (1.0 - dropout_rate)
     hidden = np.broadcast_to(features, (params.n_branches, *features.shape))
-    inputs, preacts = [], []
+    inputs = []
     for theta, mask in zip(params.layers, masks):
-        pre = gc_layer_forward(props, hidden, mask, theta)
+        if mask is not None:
+            hidden = np.multiply(hidden, mask, out=mask)
         inputs.append(hidden)
-        preacts.append(pre)
-        hidden = np.maximum(pre, 0.0)
-    fused = np.sum(params.omega[:, None, None] * preacts[-1], axis=0)
+        logits = gc_layer_forward(props, hidden, theta)
+        hidden = np.maximum(logits, 0.0)
+    fused = np.sum(params.omega[:, None, None] * logits, axis=0)
     return ForwardTrace(props=list(props), layer_inputs=inputs,
-                        dropout_masks=masks, preactivations=preacts,
+                        dropout_scale=scale, logits=logits,
                         fused_logits=fused, probabilities=softmax_rows(fused))
 
 
@@ -253,8 +247,9 @@ def compute_gradients(trace: ForwardTrace, labels, mask, class_weights,
                       l2_coeff: float, params: ModelParams) -> Gradients:
     """Exact gradients of the masked weighted cross-entropy plus L2 penalty.
 
-    The trace must come from a forward pass on the same parameters. Stored
-    dropout masks are replayed, so the gradients differentiate the exact
+    The trace must come from a forward pass on the same parameters. A hidden
+    unit passes gradient, times the dropout scale, where its stored operand
+    is positive (kept and active), so the gradients differentiate the exact
     stochastic objective of that pass. Fusion weights carry no L2 penalty.
     """
     labels = np.asarray(labels, dtype=np.int64)
@@ -262,8 +257,8 @@ def compute_gradients(trace: ForwardTrace, labels, mask, class_weights,
     weights = np.asarray(class_weights, dtype=np.float64)
     if mask.size == 0:
         raise ValueError("mask is empty")
-    if (len(trace.preactivations), len(trace.props)) != (params.n_layers,
-                                                         params.n_branches):
+    if (len(trace.layer_inputs), len(trace.props)) != (params.n_layers,
+                                                       params.n_branches):
         raise ValueError("trace layers or branches do not match params")
 
     n, k = trace.probabilities.shape
@@ -279,15 +274,12 @@ def compute_gradients(trace: ForwardTrace, labels, mask, class_weights,
     grad_out = params.omega[:, None, None] * d_fused
     layer_grads: list[np.ndarray] = [np.empty(0)] * params.n_layers
     for i in range(params.n_layers - 1, -1, -1):
-        theta, masks = params.layers[i], trace.dropout_masks[i]
-        propagated, theta_grad = _layer_backward(
-            trace.props, trace.layer_inputs[i], masks, grad_out)
+        theta, operand = params.layers[i], trace.layer_inputs[i]
+        propagated, theta_grad = _layer_backward(trace.props, operand, grad_out)
         layer_grads[i] = theta_grad + 2.0 * l2_coeff * theta
         if i > 0:
             d_dropped = propagated @ theta.transpose(0, 2, 1)
-            if masks is not None:
-                d_dropped = d_dropped * masks
-            grad_out = d_dropped * (trace.preactivations[i - 1] > 0)
+            grad_out = d_dropped * (operand > 0) * trace.dropout_scale
     return Gradients(layers=layer_grads, omega=omega_grad)
 
 

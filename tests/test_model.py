@@ -91,18 +91,18 @@ WIDTH_IDS = ["narrows", "widens", "keeps"]
 class TestLayerForward:
     def test_identity_prop_identity_theta(self):
         acts = np.array([[1.0, -2.0], [3.0, 4.0]])
-        out = popgcn.gc_layer_forward([identity_prop(2)], acts[None], None,
+        out = popgcn.gc_layer_forward([identity_prop(2)], acts[None],
                                       np.eye(2)[None])
         assert np.array_equal(out, acts[None])
 
     def test_relu_clamps_negatives(self):
         # hidden layers are rectified before they enter the next layer; the
-        # stored preactivations keep their sign
+        # first layer's operand keeps its sign
         feats = np.array([[1.0, -2.0], [-3.0, 4.0]])
         params = popgcn.ModelParams([np.eye(2)[None], np.eye(2)[None]],
                                     np.array([1.0]))
         trace = popgcn.model_forward([identity_prop(2)], feats, params)
-        assert np.array_equal(trace.preactivations[0][0], feats)
+        assert np.array_equal(trace.layer_inputs[0][0], feats)
         assert np.array_equal(trace.layer_inputs[1][0],
                               [[1.0, 0.0], [0.0, 4.0]])
 
@@ -110,7 +110,7 @@ class TestLayerForward:
         # averaging operator: both rows become the mean 3, filtered by theta=3
         prop = popgcn.PropagationMatrix(np.full((2, 2), 0.5))
         out = popgcn.gc_layer_forward([prop], np.array([[[2.0], [4.0]]]),
-                                      None, np.array([[[3.0]]]))
+                                      np.array([[[3.0]]]))
         assert np.allclose(out, [[[9.0], [9.0]]])
 
     def test_each_branch_uses_its_operator_input_and_mask(self):
@@ -119,7 +119,7 @@ class TestLayerForward:
         hidden = rng.standard_normal((2, 4, 3))
         masks = rng.integers(0, 2, size=(2, 4, 3)) * 2.0
         theta = rng.standard_normal((2, 3, 5))
-        out = popgcn.gc_layer_forward(props, hidden, masks, theta)
+        out = popgcn.gc_layer_forward(props, hidden * masks, theta)
         for m in range(2):
             expected = props[m].matrix @ (hidden[m] * masks[m]) @ theta[m]
             assert np.array_equal(out[m], expected)
@@ -133,7 +133,7 @@ class TestLayerForward:
         hidden = rng.standard_normal((2, ds.n_nodes, d_in))
         masks = rng.integers(0, 2, size=hidden.shape) * 2.0
         theta = rng.standard_normal((2, d_in, d_out))
-        out = popgcn.gc_layer_forward(props, hidden, masks, theta)
+        out = popgcn.gc_layer_forward(props, hidden * masks, theta)
         for m in range(2):
             expected = (props[m].matrix @ (hidden[m] * masks[m])) @ theta[m]
             assert np.allclose(out[m], expected, rtol=1e-12,
@@ -148,7 +148,7 @@ class TestLayerForward:
         rng = np.random.default_rng(18)
         hidden = rng.standard_normal((2, ds.n_nodes, d_in))
         theta = rng.standard_normal((2, d_in, d_out))
-        popgcn.gc_layer_forward(spies, hidden, None, theta)
+        popgcn.gc_layer_forward(spies, hidden, theta)
         assert [spy.widths for spy in spies] == [[min(d_in, d_out)]] * 2
 
     @pytest.mark.parametrize("d_in, d_out", WIDTHS, ids=WIDTH_IDS)
@@ -158,7 +158,7 @@ class TestLayerForward:
         rng = np.random.default_rng(19)
         hidden = rng.standard_normal((2, ds.n_nodes, d_in))
         grad_out = rng.standard_normal((2, ds.n_nodes, d_out))
-        model_mod._layer_backward(spies, hidden, None, grad_out)
+        model_mod._layer_backward(spies, hidden, grad_out)
         assert [spy.widths for spy in spies] == [[d_out]] * 2
 
     def test_shape_mismatch_rejected(self):
@@ -201,8 +201,13 @@ class TestBranchForward:
         trace = popgcn.model_forward([identity_prop(3)], np.ones((3, 3)),
                                      params, dropout_rate=0.5, rng=rng,
                                      training=True)
-        for mask in trace.dropout_masks:
-            assert set(np.unique(mask)) <= {0.0, 2.0}
+        # identity operator and filters: layer 1's input is layer 0's
+        # operand, so each operand is its input times a mask value in {0, 2}
+        assert trace.dropout_scale == 2.0
+        for layer_input, operand in zip([np.ones((1, 3, 3)),
+                                         trace.layer_inputs[0]],
+                                        trace.layer_inputs):
+            assert np.all((operand == 0.0) | (operand == 2.0 * layer_input))
 
     def test_dropout_masks_drawn_branch_by_branch(self):
         # each branch's masks, input to output, then the next branch: the
@@ -214,10 +219,14 @@ class TestBranchForward:
                                      rng=np.random.default_rng(19),
                                      training=True)
         reference = np.random.default_rng(19)
+        first = popgcn.gc_layer_forward(props, trace.layer_inputs[0],
+                                        params.layers[0])
         for m in range(2):
             for i, width in enumerate((4, 3)):
                 expected = (reference.random((6, width)) >= 0.4) / 0.6
-                assert np.array_equal(trace.dropout_masks[i][m], expected)
+                layer_input = feats if i == 0 else np.maximum(first[m], 0.0)
+                assert np.array_equal(trace.layer_inputs[i][m],
+                                      layer_input * expected)
 
     def test_zero_rate_training_equals_inference(self):
         rng = np.random.default_rng(4)
@@ -229,7 +238,8 @@ class TestBranchForward:
             rng=np.random.default_rng(0), training=True)
         eval_trace = popgcn.model_forward([identity_prop(6)], feats, params)
         assert np.array_equal(train_trace.logits, eval_trace.logits)
-        assert train_trace.dropout_masks == [None]
+        assert train_trace.dropout_scale == 1.0
+        assert np.shares_memory(train_trace.layer_inputs[0], feats)
 
 
 class TestFusion:
@@ -396,7 +406,7 @@ class TestGradients:
     def _one_layer_trace(feats, logits, probs):
         return popgcn.ForwardTrace(
             props=[identity_prop(len(feats))], layer_inputs=[feats[None]],
-            dropout_masks=[None], preactivations=[logits[None]],
+            dropout_scale=1.0, logits=logits[None],
             fused_logits=logits, probabilities=probs)
 
     def test_perfect_predictions_leave_only_regularizer(self):
