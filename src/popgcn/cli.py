@@ -301,8 +301,11 @@ def cmd_synth(args) -> int:
                  _parse_informative_flag(spec) for spec in args.informative),
              "noise_elements": args.noise and tuple(args.noise),
              "seed": args.seed}
-    config = SynthConfig(**{key: value for key, value in given.items()
-                            if value is not None})
+    try:
+        config = SynthConfig(**{key: value for key, value in given.items()
+                                if value is not None})
+    except ValueError as err:
+        raise ConfigError("synth", str(err)) from None
     paths = save_dataset(generate_synthetic(config), args.out)
     for name in ("features", "labels", "demographics"):
         print(f"{name}: {paths[name]}")

@@ -294,8 +294,18 @@ def save_dataset(dataset: Dataset, out_dir) -> dict[str, Path]:
     """Write features.csv, labels.csv, demographics.csv under ``out_dir``.
 
     Floats are written with 17 significant digits, so save -> load round-trips
-    bitwise and identical datasets produce byte-identical files.
+    bitwise and identical datasets produce byte-identical files. An element
+    name the header cannot carry back unchanged (an empty one, or one with a
+    comma, a quote, a line break or surrounding whitespace) is refused
+    before anything is written.
     """
+    for name in dataset.element_names:
+        if (not name or name != name.strip()
+                or any(c in name for c in ',"\r\n')):
+            raise DataError(
+                f"element name {name!r} would not read back from the "
+                f"demographics header: a name must be non-empty, with no "
+                f"comma, quote, line break or surrounding whitespace")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {

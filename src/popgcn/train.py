@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -47,8 +48,11 @@ class TrainConfig:
     folds: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims",
-                           tuple(int(h) for h in self.hidden_dims))
+        widths = tuple(self.hidden_dims)
+        if not all(isinstance(h, numbers.Integral) and not isinstance(h, bool)
+                   for h in widths):
+            raise ValueError(f"hidden_dims must be integers, got {widths!r}")
+        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in widths))
         object.__setattr__(self, "edge_rules", tuple(self.edge_rules))
         for name in ("dropout_rate", "l2_coeff", "learning_rate",
                      "val_fraction"):

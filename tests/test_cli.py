@@ -350,6 +350,37 @@ class TestSynthCommand:
         assert code == 1
         assert "NAME:CORR" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--nodes", "4000000000"],
+         "n_nodes 4000000000 makes an N x N graph of more than "),
+        (["--classes", "1"], "n_classes must be at least 2"),
+    ])
+    def test_refused_recipe_is_one_config_line(self, tmp_path, capsys, flags,
+                                               message):
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), *flags]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: config: synth: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--informative", "a,b"), ("--informative", 'a"b'),
+        ("--informative", "a\nb"), ("--informative", "a\rb"),
+        ("--noise", " scanner"), ("--noise", "scanner\t"), ("--noise", ""),
+    ])
+    def test_unreadable_element_name_writes_nothing(self, tmp_path, capsys,
+                                                    flag, name):
+        # the demographics header could not carry the name back, so the
+        # files would fail or misread in every later command
+        value = f"{name}:0.9" if flag == "--informative" else name
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), flag, value]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: element name {name!r} ")
+        assert not out.exists()
+
 
 class TestCvCommand:
     def test_report_written_and_deterministic(self, tmp_path, capsys):

@@ -42,6 +42,20 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 popgcn.TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("widths", [
+        "16", (2.5, True), (16.0,), (True,), (np.float64(8.0),), ("8",),
+        (np.bool_(True),),
+    ])
+    def test_rejects_non_integer_widths(self, widths):
+        # "16" used to become (1, 6) and (2.5, True) to become (2, 1)
+        with pytest.raises(ValueError, match="hidden_dims must be integers"):
+            popgcn.TrainConfig(hidden_dims=widths)
+
+    def test_accepts_numpy_integer_widths(self):
+        config = popgcn.TrainConfig(hidden_dims=(np.int64(8), np.int32(4)))
+        assert config.hidden_dims == (8, 4)
+        assert all(type(h) is int for h in config.hidden_dims)
+
 
 class TestAdam:
     def test_first_step_hand_oracle(self):
