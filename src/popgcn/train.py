@@ -51,7 +51,8 @@ class TrainConfig:
         widths = tuple(self.hidden_dims)
         if not all(isinstance(h, numbers.Integral) and not isinstance(h, bool)
                    for h in widths):
-            raise ValueError(f"hidden_dims must be integers, got {widths!r}")
+            raise ValueError(f"hidden_dims must be integers, got "
+                             f"{self.hidden_dims!r}")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in widths))
         object.__setattr__(self, "edge_rules", tuple(self.edge_rules))
         for name in ("dropout_rate", "l2_coeff", "learning_rate",
