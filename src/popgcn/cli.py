@@ -13,14 +13,12 @@ import json
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .baselines import BaselineKind, averaged_propagation, run_baseline_cv
-from .data import (DataError, Dataset, SynthConfig, generate_synthetic,
-                   load_dataset, save_dataset)
+from .data import (DataError, Dataset, SynthConfig, _typed,
+                   generate_synthetic, load_dataset, save_dataset)
 from .graph import (EdgeRule, GraphError, build_affinity_matrices,
                     build_propagation_matrices, default_edge_rules,
                     graph_statistics, normalize_affinity, rules_or_defaults)
@@ -31,7 +29,6 @@ GRADCHECK_TOLERANCE = 1e-5
 
 _BASELINE_NAMES = {kind.value for kind in BaselineKind}
 _DATA_PATHS = ("features", "labels", "demographics")
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 class ConfigError(ValueError):
@@ -55,38 +52,6 @@ class RunConfig:
     subsets: list[list[str]] | None
 
 
-def _typed(field: str, value, kind):
-    """``value`` checked against the dataclass field type ``kind``: an int,
-    float or str, an optional one that may be null, or a tuple of them
-    written as a JSON list. A bool is never a number and a float never an
-    int."""
-    if get_origin(kind) is UnionType:  # "float | None"
-        if value is None:
-            return None
-        kind = get_args(kind)[0]
-    if get_origin(kind) is tuple:
-        kinds = get_args(kind)
-        variadic = kinds[-1] is Ellipsis
-        if not isinstance(value, list) or not (variadic
-                                                or len(value) == len(kinds)):
-            size = "" if variadic else f" of {len(kinds)} items"
-            raise ConfigError(field, f"must be a list{size}, "
-                                     f"got {json.dumps(value)}")
-        if variadic:
-            kinds = kinds[:1] * len(value)
-        return tuple(_typed(f"{field}[{i}]", item, item_kind)
-                     for i, (item, item_kind) in enumerate(zip(value, kinds)))
-    if isinstance(value, bool) or not isinstance(
-            value, (int, float) if kind is float else kind):
-        raise ConfigError(field, f"must be {_TYPE_NAMES[kind]}, "
-                                 f"got {json.dumps(value)}")
-    # NaN, the infinities and ints too large for a float fail this
-    if kind is not str and not abs(value) <= sys.float_info.max:
-        raise ConfigError(field, f"must be a finite number, "
-                                 f"got {json.dumps(value)}")
-    return value
-
-
 def _check_keys(path: str, raw, keys) -> dict:
     """``raw``, checked to be a JSON object with no key outside ``keys``."""
     if not isinstance(raw, dict):
@@ -99,20 +64,17 @@ def _check_keys(path: str, raw, keys) -> dict:
 
 
 def _parse_dataclass(path: str, raw, cls, skip=()):
-    """Build dataclass ``cls`` from a JSON object whose allowed keys and
-    value types are the fields of ``cls`` not in ``skip``; a field with no
-    default is required."""
-    kinds = {name: kind for name, kind in get_type_hints(cls).items()
-             if name not in skip}
-    _check_keys(path, raw, kinds)
-    for field in fields(cls):
+    """Build dataclass ``cls`` from a JSON object whose allowed keys are the
+    fields of ``cls`` not in ``skip``; a field with no default is required.
+    ``cls`` checks the values, and an error naming a field gets its path."""
+    allowed = [field for field in fields(cls) if field.name not in skip]
+    _check_keys(path, raw, [field.name for field in allowed])
+    for field in allowed:
         if field.default is MISSING and field.name not in raw:
             raise ConfigError(f"{path}.{field.name}", "missing")
-    kwargs = {key: _typed(f"{path}.{key}", value, kinds[key])
-              for key, value in raw.items()}
     try:
-        return cls(**kwargs)
-    except ValueError as err:  # an EdgeRule error names its field
+        return cls(**raw)
+    except ValueError as err:
         name = getattr(err, "field", None)
         raise ConfigError(f"{path}.{name}" if name else path,
                           str(err)) from None
@@ -152,7 +114,7 @@ def parse_run_config(raw) -> RunConfig:
     synth = (_parse_dataclass("data.synth", data["synth"], SynthConfig)
              if has_synth else None)
     paths = (None if has_synth else
-             {key: _typed(f"data.{key}", data.get(key), str)
+             {key: _typed(f"data.{key}", data.get(key), str, ConfigError)
               for key in _DATA_PATHS})
     # edge rules are the top-level "edge_rules" block, not a train key
     train = _parse_dataclass("train", raw.get("train", {}), TrainConfig,
@@ -169,10 +131,12 @@ def parse_run_config(raw) -> RunConfig:
             raise ConfigError("compare.subsets",
                               "must be a list of non-empty name lists")
         for i, subset in enumerate(subsets):
-            _typed(f"compare.subsets[{i}]", subset, tuple[str, ...])
+            _typed(f"compare.subsets[{i}]", subset, tuple[str, ...],
+                   ConfigError)
     return RunConfig(synth=synth, data_paths=paths, train=train,
                      edge_rules=rules,
-                     out=_typed("out", raw.get("out"), str | None),
+                     out=_typed("out", raw.get("out"), str | None,
+                                ConfigError),
                      baselines=list(baselines), subsets=subsets)
 
 
@@ -295,17 +259,13 @@ def _set_up(args) -> tuple[RunConfig, Dataset, TrainConfig]:
 
 
 def cmd_synth(args) -> int:
-    given = {"n_nodes": args.nodes, "n_features": args.features,
+    flags = {"n_nodes": args.nodes, "n_features": args.features,
              "n_classes": args.classes, "class_separation": args.separation,
-             "informative_elements": args.informative and tuple(
-                 _parse_informative_flag(spec) for spec in args.informative),
-             "noise_elements": args.noise and tuple(args.noise),
-             "seed": args.seed}
-    try:
-        config = SynthConfig(**{key: value for key, value in given.items()
-                                if value is not None})
-    except ValueError as err:
-        raise ConfigError("synth", str(err)) from None
+             "informative_elements": args.informative and [
+                 _parse_informative_flag(spec) for spec in args.informative],
+             "noise_elements": args.noise, "seed": args.seed}
+    given = {key: value for key, value in flags.items() if value is not None}
+    config = _parse_dataclass("synth", given, SynthConfig)
     paths = save_dataset(generate_synthetic(config), args.out)
     for name in ("features", "labels", "demographics"):
         print(f"{name}: {paths[name]}")

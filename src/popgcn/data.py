@@ -7,15 +7,78 @@ demographic matrix whose columns each define one population graph.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 
 class DataError(ValueError):
-    """Malformed input files or violated dataset invariants."""
+    """Malformed input files, violated dataset invariants, or a field of the
+    wrong type; ``field`` names the offending field, when there is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+_NUMBERS = {int: numbers.Integral, float: numbers.Real}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(field: str, value, kind, error=DataError):
+    """``value`` checked against the field annotation ``kind`` and stored
+    plain: an int, float or str, a class, an optional one that may be None,
+    or a tuple of them given as a list or a tuple. A bool is never a number
+    and a float never an int; a NumPy number is stored as an int or float.
+    A failure raises ``error(field=..., message=...)``, the field path
+    running down to the failing index, as in ``hidden_dims[0]``.
+    """
+    if get_origin(kind) is UnionType:  # "float | None"
+        if value is None:
+            return None
+        kind = get_args(kind)[0]
+    if get_origin(kind) is tuple:
+        kinds = get_args(kind)
+        variadic = kinds[-1] is Ellipsis
+        if isinstance(value, (list, tuple)) and (variadic
+                                                 or len(value) == len(kinds)):
+            kinds = kinds[:1] * len(value) if variadic else kinds
+            return tuple(_typed(f"{field}[{i}]", item, k, error)
+                         for i, (item, k) in enumerate(zip(value, kinds)))
+        wanted = "a list" if variadic else f"a list of {len(kinds)} items"
+    elif isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, _NUMBERS.get(kind, kind)):
+        wanted = _TYPE_NAMES.get(kind, f"an instance of {kind.__name__}")
+    elif kind not in _NUMBERS:
+        return value
+    else:
+        number = (int(value) if isinstance(value, numbers.Integral)
+                  else float(value))
+        # NaN, the infinities and ints too large for a float fail this
+        if abs(number) <= sys.float_info.max:
+            return kind(number)
+        wanted = "a finite number"
+    try:
+        shown = json.dumps(value)
+    except TypeError:  # a NumPy integer or an object, given from Python
+        shown = repr(value)
+    raise error(field=field, message=f"must be {wanted}, got {shown}")
+
+
+def _check_fields(instance, *names, error=DataError) -> None:
+    """Store the fields ``names`` (all, by default) of the frozen dataclass
+    ``instance`` as ``_typed`` returns them for their annotations."""
+    kinds = get_type_hints(type(instance))
+    for name in names or kinds:
+        object.__setattr__(instance, name, _typed(
+            name, getattr(instance, name), kinds[name], error))
 
 
 @dataclass(frozen=True)
@@ -35,10 +98,10 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
+        _check_fields(self, "element_names", "n_classes")
         features = np.asarray(self.features, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
         demographics = np.asarray(self.demographics, dtype=np.float64)
-        names = tuple(str(name) for name in self.element_names)
         if features.ndim != 2 or features.shape[0] == 0:
             raise DataError("features must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(features)):
@@ -56,16 +119,15 @@ class Dataset:
                 f"demographics must have {n} rows, got shape {demographics.shape}")
         if not np.all(np.isfinite(demographics)):
             raise DataError("demographics contain non-finite entries")
-        if demographics.shape[1] != len(names):
+        if demographics.shape[1] != len(self.element_names):
             raise DataError(
                 f"demographics has {demographics.shape[1]} columns but "
-                f"{len(names)} element names")
-        if len(set(names)) != len(names):
+                f"{len(self.element_names)} element names")
+        if len(set(self.element_names)) != len(self.element_names):
             raise DataError("element names must be unique")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "demographics", demographics)
-        object.__setattr__(self, "element_names", names)
 
     @property
     def n_nodes(self) -> int:
@@ -134,10 +196,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        informative = tuple((str(n), float(c)) for n, c in self.informative_elements)
-        noise = tuple(str(n) for n in self.noise_elements)
-        object.__setattr__(self, "informative_elements", informative)
-        object.__setattr__(self, "noise_elements", noise)
+        _check_fields(self)
         if self.n_classes < 2:
             raise DataError("n_classes must be at least 2")
         if self.n_nodes < self.n_classes:
@@ -147,25 +206,23 @@ class SynthConfig:
                 "class mean placement needs n_features >= n_classes")
         # NumPy cannot index an array with more entries than intp can count
         limit = np.iinfo(np.intp).max
-        nodes, dims = int(self.n_nodes), int(self.n_features)
+        nodes, dims = self.n_nodes, self.n_features
         if nodes * nodes > limit:
             raise DataError(f"n_nodes {nodes} makes an N x N graph of more "
                             f"than {limit} entries")
         if nodes * dims > limit:
             raise DataError(f"n_nodes x n_features = {nodes} x {dims} makes a "
                             f"feature matrix of more than {limit} entries")
-        if not math.isfinite(self.class_separation):
-            raise DataError(f"class_separation must be finite, got "
-                            f"{self.class_separation}")
         if self.class_separation < 0:
             raise DataError("class_separation must be nonnegative")
-        if not informative and not noise:
+        if not self.informative_elements and not self.noise_elements:
             raise DataError("need at least one demographic element")
-        for name, corr in informative:
+        for name, corr in self.informative_elements:
             if not 0.0 <= corr <= 1.0:
                 raise DataError(
                     f"class correlation of {name!r} must be in [0, 1], got {corr}")
-        names = [n for n, _ in informative] + list(noise)
+        names = ([n for n, _ in self.informative_elements]
+                 + list(self.noise_elements))
         if len(set(names)) != len(names):
             raise DataError("element names must be unique")
         if self.seed < 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import DataError, Dataset, _check_fields
 
 THRESHOLD = "threshold"
 EQUALITY = "equality"
@@ -22,13 +22,9 @@ CONTINUOUS_BETA_FACTOR = 0.5
 MAX_CATEGORICAL_LEVELS = 10
 
 
-class GraphError(ValueError):
+class GraphError(DataError):
     """Invalid graph-construction input; ``field`` names the offending
-    ``EdgeRule`` field, when there is one."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
+    ``EdgeRule`` or ``PropagationMatrix`` field, when there is one."""
 
 
 @dataclass(frozen=True)
@@ -45,13 +41,9 @@ class EdgeRule:
     beta: float | None = None
 
     def __post_init__(self):
+        _check_fields(self, error=GraphError)
         if self.kind not in (THRESHOLD, EQUALITY):
             raise GraphError(f"unknown edge rule kind {self.kind!r}", "kind")
-        if self.beta is not None:
-            object.__setattr__(self, "beta", float(self.beta))
-            if not np.isfinite(self.beta):
-                raise GraphError(f"beta must be finite, got {self.beta}",
-                                 "beta")
         if self.kind == THRESHOLD and (self.beta is None or self.beta <= 0):
             raise GraphError(
                 f"threshold rules need beta > 0, got {self.beta}", "beta")
@@ -122,12 +114,11 @@ class PropagationMatrix:
     n_nodes: int | None = None
 
     def __post_init__(self):
+        _check_fields(self, "n_nodes", error=GraphError)
         if self.matrix is None:
-            if (not isinstance(self.n_nodes, (int, np.integer))
-                    or self.n_nodes < 1):
+            if self.n_nodes is None or self.n_nodes < 1:
                 raise GraphError("the no-graph operator needs a positive "
                                  f"integer n_nodes, got {self.n_nodes!r}")
-            object.__setattr__(self, "n_nodes", int(self.n_nodes))
             return
         matrix = _symmetric_float64(self.matrix, "propagation matrix")
         if self.n_nodes is not None and self.n_nodes != matrix.shape[0]:

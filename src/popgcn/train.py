@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, stratified_kfold
+from .data import Dataset, _check_fields, stratified_kfold
 from .graph import EdgeRule, build_propagation_matrices, rules_or_defaults
 from .model import (ModelParams, class_weights, compute_gradients, init_params,
                     model_forward, weighted_cross_entropy)
@@ -48,18 +46,7 @@ class TrainConfig:
     folds: int = 10
 
     def __post_init__(self):
-        widths = tuple(self.hidden_dims)
-        if not all(isinstance(h, numbers.Integral) and not isinstance(h, bool)
-                   for h in widths):
-            raise ValueError(f"hidden_dims must be integers, got "
-                             f"{self.hidden_dims!r}")
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in widths))
-        object.__setattr__(self, "edge_rules", tuple(self.edge_rules))
-        for name in ("dropout_rate", "l2_coeff", "learning_rate",
-                     "val_fraction"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+        _check_fields(self)
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden_dims must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:

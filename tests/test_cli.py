@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -281,6 +282,31 @@ def test_any_json_anywhere_parses_or_is_config_error(value, key):
                 assert isinstance(parse_run_config(raw), RunConfig)
             except ConfigError:
                 pass
+
+
+# a valid instance of each config dataclass, as constructor arguments
+CONFIG_CLASSES = [(popgcn.TrainConfig, {}), (popgcn.SynthConfig, {}),
+                  (popgcn.EdgeRule, {"element": "age", "beta": 2.0})]
+
+
+@settings(max_examples=30, deadline=None)
+@example(value=10 ** 400)
+@example(value=math.nan)
+@example(value=[])
+@given(value=JSON_VALUES)
+def test_any_json_in_any_field_from_python_builds_or_names_it(value):
+    for cls, base in CONFIG_CLASSES:
+        for field in dataclasses.fields(cls):
+            try:
+                cls(**{**base, field.name: value})
+            except ValueError as err:
+                named = getattr(err, "field", None)
+                if named is None:
+                    # a range or cross-field check, on a value of the
+                    # field's type
+                    assert not isinstance(value, (bool, dict, type(None)))
+                else:
+                    assert named.startswith(field.name)
 
 
 class TestEdgeRuleResolution:

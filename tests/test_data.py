@@ -81,9 +81,41 @@ class TestSynthetic:
             popgcn.SynthConfig(n_nodes=300, n_features=limit // 300 + 1)
 
     def test_rejects_non_finite_class_separation(self):
-        for value in (float("nan"), float("inf")):
-            with pytest.raises(DataError, match="class_separation"):
+        for value in (float("nan"), float("inf"), -float("inf"), 10 ** 400):
+            with pytest.raises(DataError, match="must be a finite number") \
+                    as err:
                 popgcn.SynthConfig(class_separation=value)
+            assert err.value.field == "class_separation"
+
+    @pytest.mark.parametrize("overrides, field", [
+        # a float never counts nodes, and a string is never split into names
+        ({"n_nodes": 40.5}, "n_nodes"),
+        ({"n_features": True}, "n_features"),
+        ({"seed": "1"}, "seed"),
+        ({"class_separation": None}, "class_separation"),
+        ({"noise_elements": "ab", "informative_elements": ()},
+         "noise_elements"),
+        ({"noise_elements": ("a", None)}, "noise_elements[1]"),
+        ({"informative_elements": "x"}, "informative_elements"),
+        ({"informative_elements": (("a", 0.9, 1),)}, "informative_elements[0]"),
+        ({"informative_elements": ((1, 0.9),)}, "informative_elements[0][0]"),
+        ({"informative_elements": (("a", "0.9"),)},
+         "informative_elements[0][1]"),
+    ])
+    def test_rejects_wrong_field_types(self, overrides, field):
+        with pytest.raises(DataError, match="must be") as err:
+            popgcn.SynthConfig(**overrides)
+        assert err.value.field == field
+
+    def test_numpy_scalars_and_lists_stored_plain(self):
+        config = popgcn.SynthConfig(
+            n_nodes=np.int64(30), class_separation=np.float32(2.0),
+            informative_elements=[["a", 1]], noise_elements=[np.str_("b")])
+        assert config == popgcn.SynthConfig(
+            n_nodes=30, class_separation=2.0,
+            informative_elements=(("a", 1.0),), noise_elements=("b",))
+        assert type(config.n_nodes) is int
+        assert type(config.informative_elements[0][1]) is float
 
 
 class TestDataset:
@@ -102,6 +134,26 @@ class TestDataset:
         with pytest.raises(DataError):
             popgcn.Dataset(np.eye(3), np.array([0, 1]),
                            np.zeros((3, 1)), ("e",), 2)
+
+    @pytest.mark.parametrize("names, n_classes, field", [
+        # a string is not a tuple of names, 1 is not a name, and neither
+        # True nor 2.5 is a class count
+        ("e", 3, "element_names"),
+        ((1,), 3, "element_names[0]"),
+        (("e",), True, "n_classes"),
+        (("e",), 2.5, "n_classes"),
+    ])
+    def test_rejects_wrong_field_types(self, names, n_classes, field):
+        with pytest.raises(DataError, match="must be") as err:
+            popgcn.Dataset(np.eye(3), np.array([0, 1, 0]),
+                           np.zeros((3, 1)), names, n_classes)
+        assert err.value.field == field
+
+    def test_numpy_class_count_stored_plain(self):
+        ds = popgcn.Dataset(np.eye(3), np.array([0, 1, 0]),
+                            np.zeros((3, 1)), ["e"], np.int64(2))
+        assert ds.element_names == ("e",)
+        assert type(ds.n_classes) is int
 
     def test_rejects_duplicate_element_names(self):
         with pytest.raises(DataError):

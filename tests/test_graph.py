@@ -40,8 +40,22 @@ class TestEdgeRule:
         assert err.value.field == "beta"
 
     def test_beta_stored_as_float(self):
-        beta = popgcn.EdgeRule("age", popgcn.THRESHOLD, 2).beta
-        assert type(beta) is float and beta == 2.0
+        for given in (2, np.int64(2), np.float32(2.0)):
+            beta = popgcn.EdgeRule("age", popgcn.THRESHOLD, given).beta
+            assert type(beta) is float and beta == 2.0
+
+    @pytest.mark.parametrize("args, field", [
+        # True is not a beta, nor 3 an element name
+        (("age", popgcn.THRESHOLD, True), "beta"),
+        (("age", popgcn.THRESHOLD, "2"), "beta"),
+        (("age", popgcn.THRESHOLD, 10 ** 400), "beta"),
+        ((3, popgcn.EQUALITY), "element"),
+        (("age", 5), "kind"),
+    ])
+    def test_rejects_wrong_field_types(self, args, field):
+        with pytest.raises(GraphError, match="must be") as err:
+            popgcn.EdgeRule(*args)
+        assert err.value.field == field
 
 
 class TestBuildEdgeMatrix:
@@ -224,6 +238,18 @@ class TestAffinityValidation:
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(GraphError, match="diagonal"):
             popgcn.AffinityMatrix(np.eye(2))
+
+
+class TestPropagationMatrix:
+    @pytest.mark.parametrize("n_nodes, field", [
+        (None, None), (0, None), (True, "n_nodes"), (np.bool_(True), "n_nodes"),
+        (2.0, "n_nodes"),
+    ])
+    def test_no_graph_operator_needs_a_positive_integer(self, n_nodes, field):
+        # a bool is not a node count
+        with pytest.raises(GraphError) as err:
+            popgcn.PropagationMatrix(matrix=None, n_nodes=n_nodes)
+        assert err.value.field == field
 
 
 class TestNormalizeAffinity:

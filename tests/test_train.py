@@ -38,18 +38,55 @@ class TestTrainConfig:
     def test_rejects_non_finite_floats(self, name):
         # a NaN learning rate used to train until "non-finite validation
         # loss at epoch 0"; an infinite l2_coeff was accepted as well
-        for value in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+        for value in (float("nan"), float("inf"), float("-inf"),
+                      np.float64("nan"), 10 ** 400):
+            with pytest.raises(ValueError,
+                               match="must be a finite number") as err:
                 popgcn.TrainConfig(**{name: value})
+            assert err.value.field == name
 
     @pytest.mark.parametrize("widths", [
         "16", (2.5, True), (16.0,), (True,), (np.float64(8.0),), ("8",),
-        (np.bool_(True),),
+        (np.bool_(True),), None, [16.0],
     ])
     def test_rejects_non_integer_widths(self, widths):
         # "16" used to become (1, 6) and (2.5, True) to become (2, 1)
-        with pytest.raises(ValueError, match="hidden_dims must be integers"):
+        field = ("hidden_dims[0]" if isinstance(widths, (tuple, list))
+                 else "hidden_dims")
+        with pytest.raises(ValueError, match="must be") as err:
             popgcn.TrainConfig(hidden_dims=widths)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("overrides, field", [
+        # a wrong type is refused by name, never converted or left to fail
+        # later
+        ({"hidden_dims": 16}, "hidden_dims"),
+        ({"folds": 2.5}, "folds"),
+        ({"seed": 1.5}, "seed"),
+        ({"patience": True}, "patience"),
+        ({"phase1_epochs": np.float64(5.0)}, "phase1_epochs"),
+        ({"max_total_epochs": "70"}, "max_total_epochs"),
+        ({"learning_rate": "0.1"}, "learning_rate"),
+        ({"dropout_rate": np.bool_(False)}, "dropout_rate"),
+        ({"val_fraction": None}, "val_fraction"),
+        ({"edge_rules": "ab"}, "edge_rules"),
+        ({"edge_rules": ({"element": "a"},)}, "edge_rules[0]"),
+    ])
+    def test_rejects_wrong_field_types(self, overrides, field):
+        with pytest.raises(ValueError, match="must be") as err:
+            popgcn.TrainConfig(**overrides)
+        assert err.value.field == field
+
+    def test_numpy_scalars_and_lists_stored_plain(self):
+        config = popgcn.TrainConfig(
+            hidden_dims=[np.int64(8)], seed=np.int32(3), folds=np.uint8(4),
+            learning_rate=np.float32(0.5), l2_coeff=0, edge_rules=[])
+        assert config == popgcn.TrainConfig(
+            hidden_dims=(8,), seed=3, folds=4, learning_rate=0.5,
+            l2_coeff=0.0)
+        assert [type(v) for v in (config.seed, config.folds,
+                                  config.learning_rate, config.l2_coeff)] \
+            == [int, int, float, float]
 
     def test_accepts_numpy_integer_widths(self):
         config = popgcn.TrainConfig(hidden_dims=(np.int64(8), np.int32(4)))
@@ -282,6 +319,14 @@ class TestCVPlumbing:
                             config={"folds": 3}, split_hash="x")
 
 
+def _stripped(report) -> str:
+    """A report's JSON text with every ``wall_clock_sec`` removed."""
+    payload = report.to_dict()
+    for entry in payload["folds"]:
+        entry.pop("wall_clock_sec")
+    return json.dumps(payload, sort_keys=True)
+
+
 class TestRunCV:
     def test_report_structure_and_aggregates(self):
         ds = quick_dataset()
@@ -301,15 +346,20 @@ class TestRunCV:
     def test_deterministic_modulo_wall_clock(self):
         ds = quick_dataset()
         config = quick_config(seed=2)
+        assert _stripped(popgcn.run_cv(ds, config)) == \
+            _stripped(popgcn.run_cv(ds, config))
 
-        def stripped(report):
-            payload = report.to_dict()
-            for entry in payload["folds"]:
-                entry.pop("wall_clock_sec")
-            return json.dumps(payload, sort_keys=True)
-
-        assert stripped(popgcn.run_cv(ds, config)) == \
-            stripped(popgcn.run_cv(ds, config))
+    def test_numpy_scalar_config_reports_as_plain_one(self):
+        # the report echoes the config, so NumPy scalars must be stored as
+        # the plain numbers json.dumps can write
+        ds = quick_dataset()
+        plain = quick_config(seed=1, folds=2, hidden_dims=(8,),
+                             learning_rate=0.5)
+        numpy = quick_config(seed=np.int64(1), folds=np.int64(2),
+                             hidden_dims=(np.int32(8),),
+                             learning_rate=np.float32(0.5))
+        assert _stripped(popgcn.run_cv(ds, numpy)) == \
+            _stripped(popgcn.run_cv(ds, plain))
 
     def test_separable_cohort_classified_well(self):
         ds = quick_dataset(n_nodes=45)
