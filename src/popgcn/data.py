@@ -66,9 +66,13 @@ def _typed(field: str, value, kind, error=DataError):
             return kind(number)
         wanted = "a finite number"
     try:
-        shown = json.dumps(value)
-    except TypeError:  # a NumPy integer or an object, given from Python
-        shown = repr(value)
+        try:
+            shown = json.dumps(value)
+        except TypeError:  # a NumPy integer or an object, given from Python
+            shown = repr(value)
+    except ValueError:  # an int past the digit limit of str(), maybe in a list
+        shown = (f"an integer of {value.bit_length()} bits" if isinstance(
+            value, int) else f"a {type(value).__name__} with a huge integer")
     raise error(field=field, message=f"must be {wanted}, got {shown}")
 
 
@@ -260,9 +264,9 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
 def _read_csv_matrix(path, *, header: bool):
     """Parse a numeric CSV into (header_names, float matrix, line numbers).
 
-    Blank lines are skipped. A cell must be a finite number. Each data row's
-    0-based file line (a header and blank lines count) is returned, and
-    every error about the file names a row by that line, with the column.
+    A UTF-8 byte-order mark and blank lines are skipped. A cell must be a
+    finite number. Each data row's 0-based file line (a header and blank lines
+    count) is returned; errors about the file name a row by it and a column.
     """
     path = Path(path)
     if not path.exists():
@@ -270,7 +274,7 @@ def _read_csv_matrix(path, *, header: bool):
     names = None
     rows: list[list[float]] = []
     lines: list[int] = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for line_no, row in enumerate(csv.reader(handle)):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -306,7 +310,7 @@ def load_dataset(features_path, labels_path, demographics_path) -> Dataset:
     """Load a dataset from three CSV files.
 
     ``features`` and ``labels`` are headerless; the demographics file starts
-    with a header row naming the elements. Row counts must agree across files,
+    with a header naming each element once. Row counts must agree across files,
     and the labels must use every class id from 0 to their maximum.
     """
     _, features, _ = _read_csv_matrix(features_path, header=False)
@@ -326,6 +330,11 @@ def load_dataset(features_path, labels_path, demographics_path) -> Dataset:
         raise DataError(
             f"{demographics_path}: header names {0 if names is None else len(names)} "
             f"columns but rows have {demographics.shape[1]}")
+    for col, name in enumerate(names):
+        if not name or name in names[:col]:
+            raise DataError(f"{demographics_path}: "
+                            f"{'repeated' if name else 'empty'} element name "
+                            f"{name!r} in header column {col}")
     column = raw_labels[:, 0]
     # checked on the floats, as the int64 cast of an out-of-range value is
     # undefined; with no gap, n rows hold labels 0 to n - 1 at most

@@ -100,11 +100,11 @@ class Adam:
 
 @dataclass
 class TrainedModel:
-    """Best-validation parameters plus the per-epoch training history."""
+    """Best-validation parameters, the epoch they come from (``best_epoch``)
+    and the number of epochs run (``stopped_epoch``)."""
 
     params: ModelParams
     props: list
-    history: list[dict]
     stopped_epoch: int
     best_epoch: int
 
@@ -177,7 +177,6 @@ def train_model(dataset: Dataset, props, config: TrainConfig, seed,
     features = dataset.features
     labels = dataset.labels
 
-    history: list[dict] = []
     best_loss = np.inf
     best_params = params.copy()
     best_epoch = -1
@@ -205,15 +204,6 @@ def train_model(dataset: Dataset, props, config: TrainConfig, seed,
         val_loss = weighted_cross_entropy(eval_probs, labels, val_idx, weights)
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        history.append({
-            "epoch": epoch,
-            "phase": 2 if phase2 else 1,
-            "train_loss": train_loss,
-            "val_loss": val_loss,
-            "train_acc": accuracy(eval_probs, labels, opt_idx),
-            "val_acc": accuracy(eval_probs, labels, val_idx),
-            "omega": params.omega.tolist(),
-        })
         if val_loss < best_loss:
             best_loss = val_loss
             best_params = params.copy()
@@ -224,8 +214,8 @@ def train_model(dataset: Dataset, props, config: TrainConfig, seed,
             if phase2 and stale >= config.patience:
                 break
 
-    return TrainedModel(params=best_params, props=list(props), history=history,
-                        stopped_epoch=len(history), best_epoch=best_epoch)
+    return TrainedModel(params=best_params, props=list(props),
+                        stopped_epoch=epoch + 1, best_epoch=best_epoch)
 
 
 def evaluate(model: TrainedModel, dataset: Dataset, test_idx,

@@ -476,8 +476,12 @@ class TestCvCommand:
          "non-finite value 'inf' at row 2, column 0"),
         ("labels", 0, 0, "1e20", "out-of-range (above 35) label 1e+20 at row 0"),
         ("labels", 4, 0, "-1e20", "negative label -1e+20 at row 4"),
+        ("demographics", 0, 1, "informative",
+         "repeated element name 'informative' in header column 1"),
+        ("demographics", 0, 0, " ",
+         "empty element name '' in header column 0"),
     ], ids=["nan-feature", "inf-label", "inf-demographic", "huge-label",
-            "huge-negative-label"])
+            "huge-negative-label", "repeated-name", "empty-name"])
     def test_bad_cell_is_one_error_line(self, tmp_path, capsys, file, line,
                                         col, text, message):
         paths = popgcn.save_dataset(quick_dataset(), tmp_path / "data")

@@ -101,6 +101,9 @@ class TestSynthetic:
         ({"informative_elements": ((1, 0.9),)}, "informative_elements[0][0]"),
         ({"informative_elements": (("a", "0.9"),)},
          "informative_elements[0][1]"),
+        ({"n_nodes": 10 ** 5000}, "n_nodes"),  # past the digit limit of str()
+        ({"informative_elements": (("a", 0.9, 10 ** 5000),)},
+         "informative_elements[0]"),
     ])
     def test_rejects_wrong_field_types(self, overrides, field):
         with pytest.raises(DataError, match="must be") as err:
@@ -192,6 +195,25 @@ class TestLoadSave:
         assert ds.n_nodes == 3 and ds.n_classes == 3
         assert ds.element_names == ("age", "gender")
         assert np.array_equal(ds.demographics[:, 0], [70., 75., 80.])
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheet tools save CSVs with a UTF-8 BOM; kept, it would turn
+        # "age" into another name without the age threshold, and make the
+        # first feature cell non-numeric
+        features = "1.0,2.0\n3.0,4.0\n5.0,6.0\n"
+        for name, text in (("plain", features), ("bom", "\ufeff" + features)):
+            (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "labels.csv").write_text("0\n1\n0\n")
+        (tmp_path / "demographics.csv").write_text(
+            "\ufeffage,site\n70,0\n75,1\n80,0\n", encoding="utf-8")
+        plain, bom = (popgcn.load_dataset(tmp_path / f"{name}.csv",
+                                          tmp_path / "labels.csv",
+                                          tmp_path / "demographics.csv")
+                      for name in ("plain", "bom"))
+        assert np.array_equal(bom.features, plain.features)
+        assert bom.element_names == ("age", "site")
+        assert popgcn.default_edge_rules(bom)[0] == popgcn.EdgeRule(
+            "age", popgcn.THRESHOLD, 2.0)
 
     def test_row_count_mismatch_names_both_counts(self, tmp_path):
         (tmp_path / "features.csv").write_text("1,2\n3,4\n5,6\n7,8\n")

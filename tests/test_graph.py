@@ -51,6 +51,7 @@ class TestEdgeRule:
         (("age", popgcn.THRESHOLD, 10 ** 400), "beta"),
         ((3, popgcn.EQUALITY), "element"),
         (("age", 5), "kind"),
+        (("age", popgcn.THRESHOLD, 10 ** 5000), "beta"),
     ])
     def test_rejects_wrong_field_types(self, args, field):
         with pytest.raises(GraphError, match="must be") as err:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ class TestTrainConfig:
         # a NaN learning rate used to train until "non-finite validation
         # loss at epoch 0"; an infinite l2_coeff was accepted as well
         for value in (float("nan"), float("inf"), float("-inf"),
-                      np.float64("nan"), 10 ** 400):
+                      np.float64("nan"), 10 ** 400, 10 ** 5000):
             with pytest.raises(ValueError,
                                match="must be a finite number") as err:
                 popgcn.TrainConfig(**{name: value})
@@ -71,6 +72,7 @@ class TestTrainConfig:
         ({"val_fraction": None}, "val_fraction"),
         ({"edge_rules": "ab"}, "edge_rules"),
         ({"edge_rules": ({"element": "a"},)}, "edge_rules[0]"),
+        ({"seed": 10 ** 5000}, "seed"),  # past the digit limit of str()
     ])
     def test_rejects_wrong_field_types(self, overrides, field):
         with pytest.raises(ValueError, match="must be") as err:
@@ -166,38 +168,65 @@ class TestStratifiedHoldout:
                                 np.random.default_rng(2))
 
 
+def _train_run(*args, **kwargs):
+    """A ``train_model`` run and what it shows of its epochs: every loss in
+    order (each epoch's training loss, then its validation loss),
+    ``best_epoch`` and ``stopped_epoch``."""
+    losses = []
+    real = train_mod.weighted_cross_entropy
+
+    def spy(*loss_args, **loss_kwargs):
+        losses.append(real(*loss_args, **loss_kwargs))
+        return losses[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(train_mod, "weighted_cross_entropy", spy)
+        model = popgcn.train_model(*args, **kwargs)
+    return model, (losses, model.best_epoch, model.stopped_epoch)
+
+
 class TestTrainModel:
     def test_bitwise_deterministic(self):
         ds = quick_dataset()
         props = popgcn.build_propagation_matrices(ds)
         config = quick_config()
-        a = popgcn.train_model(ds, props, config, seed=3)
-        b = popgcn.train_model(ds, props, config, seed=3)
-        assert json.dumps(a.history) == json.dumps(b.history)
+        a, run_a = _train_run(ds, props, config, seed=3)
+        b, run_b = _train_run(ds, props, config, seed=3)
+        assert run_a == run_b
         assert np.array_equal(a.params.omega, b.params.omega)
         for wa, wb in zip(a.params.layers, b.params.layers):
             assert np.array_equal(wa, wb)
 
-    def test_omega_frozen_through_first_phase(self):
+    def test_omega_frozen_through_first_phase(self, monkeypatch):
         ds = quick_dataset()
         props = popgcn.build_propagation_matrices(ds)
         config = quick_config(phase1_epochs=5, max_total_epochs=12)
+        # omega at each epoch's evaluation forward, after its Adam step
+        omegas = []
+        real = train_mod.model_forward
+
+        def spy(props, features, params, *args, training, **kwargs):
+            if not training:
+                omegas.append(params.omega.tolist())
+            return real(props, features, params, *args, training=training,
+                        **kwargs)
+
+        monkeypatch.setattr(train_mod, "model_forward", spy)
         model = popgcn.train_model(ds, props, config, seed=4)
         m = len(props)
-        for entry in model.history[:5]:
-            assert entry["phase"] == 1
-            assert entry["omega"] == [1.0 / m] * m
-        later = model.history[5:]
-        assert all(entry["phase"] == 2 for entry in later)
-        assert any(entry["omega"] != [1.0 / m] * m for entry in later)
+        assert len(omegas) == model.stopped_epoch > 5
+        for omega in omegas[:5]:
+            assert omega == [1.0 / m] * m
+        assert any(omega != [1.0 / m] * m for omega in omegas[5:])
 
     def test_best_epoch_is_first_validation_minimum(self):
         ds = quick_dataset()
         props = popgcn.build_propagation_matrices(ds)
-        model = popgcn.train_model(ds, props, quick_config(), seed=5)
-        val_losses = [entry["val_loss"] for entry in model.history]
+        model, (losses, _, _) = _train_run(ds, props, quick_config(), seed=5)
+        val_losses = losses[1::2]
+        assert len(losses) == 2 * len(val_losses)
         assert model.best_epoch == int(np.argmin(val_losses))
-        assert model.stopped_epoch == len(model.history)
+        assert model.stopped_epoch == len(val_losses)
 
     def test_early_stopping_breaks_before_budget(self):
         ds = quick_dataset()
@@ -217,11 +246,11 @@ class TestTrainModel:
         tampered_labels[fold.test_idx] = (tampered_labels[fold.test_idx] + 1) % 3
         tampered = popgcn.Dataset(ds.features, tampered_labels,
                                   ds.demographics, ds.element_names, 3)
-        a = popgcn.train_model(ds, props, config, seed=7,
-                               train_idx=fold.train_idx)
-        b = popgcn.train_model(tampered, props, config, seed=7,
-                               train_idx=fold.train_idx)
-        assert json.dumps(a.history) == json.dumps(b.history)
+        a, run_a = _train_run(ds, props, config, seed=7,
+                              train_idx=fold.train_idx)
+        b, run_b = _train_run(tampered, props, config, seed=7,
+                              train_idx=fold.train_idx)
+        assert run_a == run_b
         assert np.array_equal(a.params.omega, b.params.omega)
 
     def test_non_finite_loss_aborts_with_epoch(self, monkeypatch):
@@ -243,7 +272,7 @@ class TestTrainModel:
         model = popgcn.train_model(ds, props,
                                    quick_config(max_total_epochs=20,
                                                 phase1_epochs=5), seed=9)
-        assert len(model.history) <= 20
+        assert model.stopped_epoch <= 20
         assert model.best_epoch >= 0
 
 
@@ -251,7 +280,7 @@ class TestEvaluate:
     def _oracle_model(self):
         params = popgcn.ModelParams([np.eye(3)[None]], np.array([1.0]))
         props = [popgcn.PropagationMatrix(np.eye(3))]
-        return popgcn.TrainedModel(params=params, props=props, history=[],
+        return popgcn.TrainedModel(params=params, props=props,
                                    stopped_epoch=0, best_epoch=-1)
 
     def _oracle_dataset(self):
@@ -379,6 +408,21 @@ class TestRunCV:
         props = popgcn.build_propagation_matrices(ds)
         with pytest.raises(ValueError, match="1 propagation matrices for 2"):
             popgcn.run_cv(ds, quick_config(), props[:1])
+
+    def test_accuracy_scored_only_by_evaluate(self, monkeypatch):
+        # training keeps no per-epoch record, so it never scores accuracy;
+        # evaluate scores the test and the training nodes of each fold
+        callers = []
+        real = train_mod.accuracy
+
+        def spy(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "accuracy", spy)
+        config = quick_config()
+        popgcn.run_cv(quick_dataset(), config)
+        assert callers == ["evaluate"] * (2 * config.folds)
 
     def test_config_immutable_across_run(self):
         ds = quick_dataset()
