@@ -66,7 +66,10 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         """Deep copy; a copy of checked parameters is not checked again."""
-        return copy.deepcopy(self)
+        clone = copy.copy(self)
+        clone.layers = [w.copy() for w in self.layers]
+        clone.omega = self.omega.copy()
+        return clone
 
 
 @dataclass
@@ -85,6 +88,7 @@ class ForwardTrace:
     logits: np.ndarray
     fused_logits: np.ndarray
     probabilities: np.ndarray
+    eval_probabilities: np.ndarray | None = None  # with_eval: no dropout
 
 
 def glorot_uniform(shape, rng) -> np.ndarray:
@@ -109,7 +113,7 @@ def init_params(n_features: int, hidden_dims, n_classes: int, n_branches: int,
                        omega=np.full(n_branches, 1.0 / n_branches))
 
 
-def gc_layer_forward(props, hidden, theta) -> np.ndarray:
+def gc_layer_forward(props, hidden, theta, second=None) -> np.ndarray:
     """One graph convolution on every branch, before the activation.
 
     ``out[m] = P_m @ hidden[m] @ theta[m]`` for an (M, N, d) ``hidden``,
@@ -117,16 +121,20 @@ def gc_layer_forward(props, hidden, theta) -> np.ndarray:
     product is live. P_m is applied to the narrower operand: after the
     filter when the layer narrows (d_out < d_in), which costs
     N*d_in*d_out + N^2*d_out instead of N^2*d_in + N*d_in*d_out, and before
-    it otherwise. The two orders agree up to rounding.
+    it otherwise. The two orders agree up to rounding. With ``second``, a
+    second operand on the same filters, P_m meets both views side by side
+    in one product, and the pair of outputs is returned.
     """
+    views = [hidden] if second is None else [hidden, second]
     narrows = theta.shape[2] < theta.shape[1]
-    out = np.empty((theta.shape[0], hidden.shape[1], theta.shape[2]))
+    out = np.empty((len(views), len(props), hidden.shape[1], theta.shape[2]))
     for m, prop in enumerate(props):
-        if narrows:
-            out[m] = prop.apply(hidden[m] @ theta[m])
-        else:
-            out[m] = prop.apply(hidden[m]) @ theta[m]
-    return out
+        sides = [h[m] @ theta[m] if narrows else h[m] for h in views]
+        block = prop.apply(np.concatenate(sides, axis=1))
+        block = block.reshape(len(block), len(views), -1)
+        for v in range(len(views)):
+            out[v, m] = block[:, v] if narrows else block[:, v] @ theta[m]
+    return out[0] if second is None else out
 
 
 def _layer_backward(props, hidden, grad_out):
@@ -186,14 +194,17 @@ def weighted_cross_entropy(probabilities, labels, mask, class_weights) -> float:
 
 
 def model_forward(props, features, params: ModelParams, dropout_rate: float = 0.0,
-                  rng=None, training: bool = False) -> ForwardTrace:
+                  rng=None, training: bool = False,
+                  with_eval: bool = False) -> ForwardTrace:
     """Forward pass over all branches, fused into row-stochastic probabilities.
 
     During training every layer input (the feature matrix included) is
     multiplied in place into an inverted-scaling dropout mask, all drawn up
     front, branch by branch and input to output, so inference needs no
     rescaling. Hidden layers are rectified; the last layer emits raw branch
-    logits, fused as ``sum_m omega_m * logits_m``.
+    logits, fused as ``sum_m omega_m * logits_m``. ``with_eval`` also sets
+    ``eval_probabilities``: a no-dropout view runs alongside, sharing each
+    operator product, and without masks it is the same array.
     """
     features = np.asarray(features, dtype=np.float64)
     if len(props) != params.n_branches:
@@ -213,21 +224,33 @@ def model_forward(props, features, params: ModelParams, dropout_rate: float = 0.
                  for w in params.layers]
         for m in range(params.n_branches):
             for mask in masks:
-                np.divide(rng.random(mask.shape[1:]) >= dropout_rate,
-                          1.0 - dropout_rate, out=mask[m])
+                drawn = rng.random(out=mask[m])
+                np.greater_equal(drawn, dropout_rate, out=drawn)
+                drawn /= 1.0 - dropout_rate
         scale = 1.0 / (1.0 - dropout_rate)
     hidden = np.broadcast_to(features, (params.n_branches, *features.shape))
+    plain = hidden if with_eval and masks[0] is not None else None
     inputs = []
     for theta, mask in zip(params.layers, masks):
         if mask is not None:
             hidden = np.multiply(hidden, mask, out=mask)
         inputs.append(hidden)
-        logits = gc_layer_forward(props, hidden, theta)
+        if plain is None:
+            logits = gc_layer_forward(props, hidden, theta)
+        else:
+            logits, eval_logits = gc_layer_forward(props, hidden, theta, plain)
+            plain = np.maximum(eval_logits, 0.0)
         hidden = np.maximum(logits, 0.0)
     fused = np.sum(params.omega[:, None, None] * logits, axis=0)
+    probabilities = softmax_rows(fused)
+    eval_probs = probabilities if with_eval else None
+    if plain is not None:
+        eval_probs = softmax_rows(
+            np.sum(params.omega[:, None, None] * eval_logits, axis=0))
     return ForwardTrace(props=list(props), layer_inputs=inputs,
                         dropout_scale=scale, logits=logits,
-                        fused_logits=fused, probabilities=softmax_rows(fused))
+                        fused_logits=fused, probabilities=probabilities,
+                        eval_probabilities=eval_probs)
 
 
 @dataclass

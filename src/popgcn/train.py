@@ -87,8 +87,8 @@ class Adam:
         Each key keeps its own step counter, so a tensor first updated at
         epoch t gets fresh bias correction from its own t=1.
         """
-        m, v, t = self._state.get(key, (np.zeros_like(param),
-                                        np.zeros_like(param), 0))
+        m, v, t = self._state.get(key) or (np.zeros_like(param),
+                                            np.zeros_like(param), 0)
         t += 1
         m = self.beta1 * m + (1.0 - self.beta1) * grad
         v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
@@ -162,6 +162,10 @@ def train_model(dataset: Dataset, props, config: TrainConfig, seed,
     nodes. Returns the best-validation-loss checkpoint seen at any epoch.
     Labels outside ``train_idx`` are never read, and the whole run is a pure
     function of (dataset, props, config, seed).
+
+    One call per epoch evaluates it and starts the next epoch's training
+    trace, sharing each operator product and drawing the masks a separate
+    forward would; a fold that stops early discards that last trace.
     """
     if len(props) == 0:
         raise TrainingError("need at least one propagation matrix")
@@ -182,12 +186,12 @@ def train_model(dataset: Dataset, props, config: TrainConfig, seed,
     best_epoch = -1
     stale = 0
 
+    trace = model_forward(props, features, params, config.dropout_rate, rng,
+                          training=True)
     for epoch in range(config.max_total_epochs):
         phase2 = epoch >= config.phase1_epochs
         if epoch == config.phase1_epochs:
             stale = 0  # phase two gets a full patience window of its own
-        trace = model_forward(props, features, params, config.dropout_rate,
-                              rng, training=True)
         train_loss = weighted_cross_entropy(trace.probabilities, labels,
                                             opt_idx, weights)
         if not np.isfinite(train_loss):
@@ -199,9 +203,12 @@ def train_model(dataset: Dataset, props, config: TrainConfig, seed,
         if phase2:
             optimizer.update(("omega",), params.omega, grads.omega)
 
-        eval_probs = model_forward(props, features, params, 0.0, None,
-                                   training=False).probabilities
-        val_loss = weighted_cross_entropy(eval_probs, labels, val_idx, weights)
+        # the budget's last epoch evaluates without a next training trace
+        last = epoch + 1 == config.max_total_epochs
+        trace = model_forward(props, features, params, config.dropout_rate,
+                              rng, training=not last, with_eval=True)
+        val_loss = weighted_cross_entropy(trace.eval_probabilities, labels,
+                                          val_idx, weights)
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
         if val_loss < best_loss:

@@ -33,6 +33,16 @@ def test_traced_modules_import():
         importlib.import_module(name)
 
 
+def _forward_counts(folds, config):
+    """Training and evaluation forwards of a cross-validation run. Each fold
+    opens with a training forward; each epoch then ends in one training
+    forward that also evaluates it, except the last epoch of the budget,
+    which evaluates alone. ``evaluate`` adds one per fold."""
+    stopped = [fold["stopped_epoch"] for fold in folds]
+    full = sum(epochs == config.max_total_epochs for epochs in stopped)
+    return sum(stopped) + len(stopped) - full, len(stopped) + full
+
+
 def test_traced_run_counts_one_span_per_call():
     # a model signature change that mislabels spans (e.g. training read from
     # the wrong argument) or a layer loop that runs per branch shows here
@@ -47,8 +57,9 @@ def test_traced_run_counts_one_span_per_call():
     epochs = sum(fold["stopped_epoch"] for fold in report.folds)
     forwards = names.count("model.forward_train") + \
         names.count("model.forward_eval")
-    assert names.count("model.forward_train") == epochs
-    assert names.count("model.forward_eval") == epochs + config.folds
+    assert (names.count("model.forward_train"),
+            names.count("model.forward_eval")) == \
+        _forward_counts(report.folds, config)
     n_layers = len(config.hidden_dims) + 1
     assert names.count("model.layer") == n_layers * forwards
     # one Adam step per layer each epoch, plus omega's in phase two
@@ -67,13 +78,14 @@ def test_traced_baseline_counts_one_layer_span_per_layer(kind):
 
     config = quick_config(folds=2, hidden_dims=(6, 4))
     with spans.Tracer().install() as tracer:
-        popgcn.run_baseline_cv(quick_dataset(), config, BaselineKind(kind))
+        report = popgcn.run_baseline_cv(quick_dataset(), config,
+                                        BaselineKind(kind))
     names = [span[0] for span in tracer.spans]
     forwards = names.count("model.forward_train") + \
         names.count("model.forward_eval")
     n_layers = 1 if kind == "linear" else len(config.hidden_dims) + 1
     assert names.count("baselines.run") == 1
-    # one evaluation forward per epoch, plus one per fold in evaluate
-    assert names.count("model.forward_eval") == \
-        names.count("model.forward_train") + config.folds > config.folds
+    assert (names.count("model.forward_train"),
+            names.count("model.forward_eval")) == \
+        _forward_counts(report["folds"], config)
     assert names.count("model.layer") == n_layers * forwards

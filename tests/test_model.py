@@ -15,6 +15,7 @@ class ApplySpy:
 
     def __init__(self, prop):
         self.prop, self.widths = prop, []
+        self.n_nodes = prop.n_nodes
 
     def apply(self, h):
         self.widths.append(h.shape[1])
@@ -150,6 +151,22 @@ class TestLayerForward:
         theta = rng.standard_normal((2, d_in, d_out))
         popgcn.gc_layer_forward(spies, hidden, theta)
         assert [spy.widths for spy in spies] == [[min(d_in, d_out)]] * 2
+
+    @pytest.mark.parametrize("d_in, d_out", WIDTHS, ids=WIDTH_IDS)
+    def test_paired_operands_share_one_product(self, d_in, d_out):
+        # two operands on the same filters: P meets both narrow sides at
+        # once, and each output is the single-operand output up to rounding
+        ds = quick_dataset()
+        spies = [ApplySpy(p) for p in popgcn.build_propagation_matrices(ds)]
+        rng = np.random.default_rng(20)
+        first, second = rng.standard_normal((2, 2, ds.n_nodes, d_in))
+        theta = rng.standard_normal((2, d_in, d_out))
+        pair = popgcn.gc_layer_forward(spies, first, theta, second)
+        assert [spy.widths for spy in spies] == [[2 * min(d_in, d_out)]] * 2
+        for out, hidden in zip(pair, (first, second)):
+            np.testing.assert_allclose(
+                out, popgcn.gc_layer_forward(spies, hidden, theta),
+                rtol=1e-12)
 
     @pytest.mark.parametrize("d_in, d_out", WIDTHS, ids=WIDTH_IDS)
     def test_backward_applies_operator_to_output_gradient(self, d_in, d_out):
@@ -380,6 +397,48 @@ class TestModelForward:
         assert np.allclose(trace.fused_logits, manual, atol=1e-15)
         assert np.allclose(trace.probabilities,
                            popgcn.softmax_rows(trace.fused_logits))
+
+    def test_paired_call_traces_the_training_forward(self):
+        # the evaluation view draws nothing, so the masks and the rng state
+        # after the call are those of a training forward; a widening layer
+        # and two narrowing ones take both orders of the kernel
+        ds = quick_dataset()
+        props = popgcn.build_propagation_matrices(ds)
+        params = popgcn.init_params(ds.n_features, (12, 4), ds.n_classes,
+                                    len(props), np.random.default_rng(21))
+        rngs = [np.random.default_rng(22) for _ in range(2)]
+        paired, single = [
+            popgcn.model_forward(props, ds.features, params, 0.3, rng,
+                                 training=True, with_eval=with_eval)
+            for rng, with_eval in zip(rngs, (True, False))]
+        assert rngs[0].random() == rngs[1].random()
+        assert single.eval_probabilities is None
+        assert paired.dropout_scale == single.dropout_scale
+        assert np.array_equal(paired.layer_inputs[0], single.layer_inputs[0])
+        for got, want in [*zip(paired.layer_inputs, single.layer_inputs),
+                          (paired.logits, single.logits),
+                          (paired.probabilities, single.probabilities)]:
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+        plain = popgcn.model_forward(props, ds.features, params)
+        np.testing.assert_allclose(paired.eval_probabilities,
+                                   plain.probabilities, rtol=1e-12)
+
+    @pytest.mark.parametrize("rate, training", [(0.0, True), (0.3, False)],
+                             ids=["zero_rate", "no_masks"])
+    def test_paired_call_without_masks_runs_one_view(self, rate, training):
+        ds = quick_dataset()
+        spies = [ApplySpy(p) for p in popgcn.build_propagation_matrices(ds)]
+        params = popgcn.init_params(ds.n_features, (12, 4), ds.n_classes,
+                                    len(spies), np.random.default_rng(23))
+        trace = popgcn.model_forward(spies, ds.features, params, rate,
+                                     np.random.default_rng(24),
+                                     training=training, with_eval=True)
+        assert trace.eval_probabilities is trace.probabilities
+        # one single-width product per branch and layer: 8 -> 12 widens,
+        # 12 -> 4 and 4 -> 3 narrow
+        assert [spy.widths for spy in spies] == [[8, 4, 3]] * len(spies)
+        plain = popgcn.model_forward(spies, ds.features, params)
+        assert np.array_equal(trace.probabilities, plain.probabilities)
 
     def test_branch_count_mismatch_rejected(self):
         ds = quick_dataset()

@@ -201,12 +201,12 @@ class TestTrainModel:
         ds = quick_dataset()
         props = popgcn.build_propagation_matrices(ds)
         config = quick_config(phase1_epochs=5, max_total_epochs=12)
-        # omega at each epoch's evaluation forward, after its Adam step
+        # omega at each call that evaluates an epoch, after its Adam step
         omegas = []
         real = train_mod.model_forward
 
         def spy(props, features, params, *args, training, **kwargs):
-            if not training:
+            if not training or kwargs.get("with_eval"):
                 omegas.append(params.omega.tolist())
             return real(props, features, params, *args, training=training,
                         **kwargs)
@@ -274,6 +274,88 @@ class TestTrainModel:
                                                 phase1_epochs=5), seed=9)
         assert model.stopped_epoch <= 20
         assert model.best_epoch >= 0
+
+
+def _separate_forwards(dataset, props, config, seed):
+    """``train_model`` with one training and one evaluation forward per
+    epoch, in that order: best parameters, best and stopped epochs."""
+    rng = np.random.default_rng(seed)
+    labels, features = dataset.labels, dataset.features
+    opt_idx, val_idx = _stratified_holdout(labels, np.arange(dataset.n_nodes),
+                                           config.val_fraction, rng)
+    params = popgcn.init_params(dataset.n_features, config.hidden_dims,
+                                dataset.n_classes, len(props), rng)
+    weights = popgcn.class_weights(labels, opt_idx)
+    optimizer = popgcn.Adam(config.learning_rate)
+    best_loss, best_params, best_epoch, stale = np.inf, params.copy(), -1, 0
+    for epoch in range(config.max_total_epochs):
+        phase2 = epoch >= config.phase1_epochs
+        if epoch == config.phase1_epochs:
+            stale = 0
+        trace = popgcn.model_forward(props, features, params,
+                                     config.dropout_rate, rng, training=True)
+        grads = popgcn.compute_gradients(trace, labels, opt_idx, weights,
+                                         config.l2_coeff, params)
+        for i, (theta, grad) in enumerate(zip(params.layers, grads.layers)):
+            optimizer.update(("theta", i), theta, grad)
+        if phase2:
+            optimizer.update(("omega",), params.omega, grads.omega)
+        probs = popgcn.model_forward(props, features, params).probabilities
+        val_loss = popgcn.weighted_cross_entropy(probs, labels, val_idx,
+                                                 weights)
+        if val_loss < best_loss:
+            best_loss, best_params, best_epoch, stale = \
+                val_loss, params.copy(), epoch, 0
+        else:
+            stale += 1
+            if phase2 and stale >= config.patience:
+                break
+    return best_params, best_epoch, epoch + 1
+
+
+# a fold that runs to its budget and one that stops early, both under dropout
+SCHEDULES = [dict(phase1_epochs=5, max_total_epochs=20, patience=30),
+             dict(phase1_epochs=2, max_total_epochs=400, patience=5)]
+SCHEDULE_IDS = ["to_budget", "stops_early"]
+
+
+class TestPairedSchedule:
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=SCHEDULE_IDS)
+    def test_matches_separate_forwards(self, schedule):
+        ds = quick_dataset()
+        props = popgcn.build_propagation_matrices(ds)
+        config = quick_config(hidden_dims=(12, 4), **schedule)
+        model = popgcn.train_model(ds, props, config, seed=10)
+        params, best_epoch, stopped_epoch = _separate_forwards(
+            ds, props, config, seed=10)
+        assert (model.best_epoch, model.stopped_epoch) == \
+            (best_epoch, stopped_epoch)
+        assert (stopped_epoch == config.max_total_epochs) == \
+            (schedule is SCHEDULES[0])
+        for got, want in zip([*model.params.layers, model.params.omega],
+                             [*params.layers, params.omega]):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=SCHEDULE_IDS)
+    def test_operator_passes_per_branch(self, schedule, monkeypatch):
+        # per layer: one pass in the fold's opening forward, then per epoch
+        # one backward pass and one pass shared by its evaluation and the
+        # next epoch's training forward
+        ds = quick_dataset()
+        props = popgcn.build_propagation_matrices(ds)
+        config = quick_config(hidden_dims=(12, 4), **schedule)
+        applied = []
+        real = popgcn.PropagationMatrix.apply
+
+        def spy(prop, h):
+            applied.append(prop)
+            return real(prop, h)
+
+        monkeypatch.setattr(popgcn.PropagationMatrix, "apply", spy)
+        model = popgcn.train_model(ds, props, config, seed=10)
+        n_layers = len(config.hidden_dims) + 1
+        assert [sum(prop is p for p in applied) for prop in props] == \
+            [n_layers * (2 * model.stopped_epoch + 1)] * len(props)
 
 
 class TestEvaluate:
