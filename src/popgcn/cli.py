@@ -96,11 +96,21 @@ def _parse_edge_rules(raw) -> tuple[EdgeRule, ...]:
 def _check_baselines(field: str, names) -> list:
     if not isinstance(names, list):
         raise ConfigError(field, "must be a list")
-    for name in names:
+    for i, name in enumerate(names):
         if not isinstance(name, str) or name not in _BASELINE_NAMES:
             raise ConfigError(field, f"unknown baseline {name!r}; "
                                      f"choose from {sorted(_BASELINE_NAMES)}")
+        if name in names[:i]:
+            raise ConfigError(field, f"repeated baseline {name!r}")
     return names
+
+
+def _path(field: str, value, kind=str):
+    """``value`` checked against ``kind``; a path, if given, is not empty."""
+    value = _typed(field, value, kind, ConfigError)
+    if value == "":
+        raise ConfigError(field, "must not be an empty path")
+    return value
 
 
 def parse_run_config(raw) -> RunConfig:
@@ -114,8 +124,7 @@ def parse_run_config(raw) -> RunConfig:
     synth = (_parse_dataclass("data.synth", data["synth"], SynthConfig)
              if has_synth else None)
     paths = (None if has_synth else
-             {key: _typed(f"data.{key}", data.get(key), str, ConfigError)
-              for key in _DATA_PATHS})
+             {key: _path(f"data.{key}", data.get(key)) for key in _DATA_PATHS})
     # edge rules are the top-level "edge_rules" block, not a train key
     train = _parse_dataclass("train", raw.get("train", {}), TrainConfig,
                              skip=("edge_rules",))
@@ -135,8 +144,7 @@ def parse_run_config(raw) -> RunConfig:
                    ConfigError)
     return RunConfig(synth=synth, data_paths=paths, train=train,
                      edge_rules=rules,
-                     out=_typed("out", raw.get("out"), str | None,
-                                ConfigError),
+                     out=_path("out", raw.get("out"), str | None),
                      baselines=list(baselines), subsets=subsets)
 
 
@@ -176,7 +184,10 @@ def _resolve_subsets(dataset: Dataset, rules, subsets) -> dict:
                 raise ConfigError("compare.subsets",
                                   f"unknown element {name!r}")
         names = [name for name in dataset.element_names if name in set(subset)]
-        resolved["+".join(names)] = [position[name] for name in names]
+        key = "+".join(names)
+        if key in resolved:
+            raise ConfigError("compare.subsets", f"repeated subset {key!r}")
+        resolved[key] = [position[name] for name in names]
     return resolved
 
 
@@ -243,7 +254,8 @@ def _set_up(args) -> tuple[RunConfig, Dataset, TrainConfig]:
             run.train = replace(run.train, folds=args.folds)
         except ValueError as err:
             raise ConfigError("train.folds", str(err)) from None
-    run.out = getattr(args, "out", None) or run.out
+    if getattr(args, "out", None) is not None:
+        run.out = _path("--out", args.out)
     if getattr(args, "baselines", None) is not None:
         run.baselines = _check_baselines(
             "--baselines", [n for n in args.baselines.split(",") if n])
@@ -266,7 +278,7 @@ def cmd_synth(args) -> int:
              "noise_elements": args.noise, "seed": args.seed}
     given = {key: value for key, value in flags.items() if value is not None}
     config = _parse_dataclass("synth", given, SynthConfig)
-    paths = save_dataset(generate_synthetic(config), args.out)
+    paths = save_dataset(generate_synthetic(config), _path("--out", args.out))
     for name in ("features", "labels", "demographics"):
         print(f"{name}: {paths[name]}")
     return 0
@@ -294,9 +306,20 @@ def cmd_graph_stats(args) -> int:
     return 0
 
 
+def _cv_report(dataset: Dataset, config: TrainConfig, props=None) -> dict:
+    """``run_cv`` as a report dict. A class with fewer members than the
+    fold count is named as ``train.folds``, which ``--folds`` also sets."""
+    try:
+        return run_cv(dataset, config, props).to_dict()
+    except DataError as err:
+        if err.field != "k":  # stratified_kfold's class-count rule
+            raise
+        raise ConfigError("train.folds", str(err)) from None
+
+
 def cmd_cv(args) -> int:
     run, dataset, config = _set_up(args)
-    report = run_cv(dataset, config).to_dict()
+    report = _cv_report(dataset, config)
     written = _write_report(report, run.out)
     tail = f" -> {written}" if written else ""
     print(f"cv: mean_acc={report['mean_acc']:.4f} "
@@ -316,7 +339,7 @@ def cmd_compare(args) -> int:
     averaged = (averaged_propagation(affinities)
                 if "avg_gcn" in run.baselines else None)
     del affinities
-    proposed = run_cv(dataset, config, props).to_dict()
+    proposed = _cv_report(dataset, config, props)
     report = {
         "config": proposed["config"],
         "split_hash": proposed["split_hash"],

@@ -404,8 +404,8 @@ def stratified_kfold(labels, k: int, seed) -> list[FoldSplit]:
     for cls in range(int(labels.max()) + 1):
         members = np.flatnonzero(labels == cls)
         if members.size < k:
-            raise DataError(
-                f"class {cls} has {members.size} members, fewer than k={k}")
+            raise DataError(f"class {cls} has {members.size} members, "
+                            f"fewer than the {k} folds", field="k")
         chunks = np.array_split(rng.permutation(members), k)
         # rotate chunk-to-fold assignment per class so fold sizes stay balanced
         for j, chunk in enumerate(chunks):

@@ -113,28 +113,25 @@ def init_params(n_features: int, hidden_dims, n_classes: int, n_branches: int,
                        omega=np.full(n_branches, 1.0 / n_branches))
 
 
-def gc_layer_forward(props, hidden, theta, second=None) -> np.ndarray:
-    """One graph convolution on every branch, before the activation.
+def gc_layer_forward(props, views, theta) -> np.ndarray:
+    """One graph convolution on every branch of each view, before activation.
 
-    ``out[m] = P_m @ hidden[m] @ theta[m]`` for an (M, N, d) ``hidden``,
-    already dropped out. Branches run one at a time, so only one (N, d)
-    product is live. P_m is applied to the narrower operand: after the
-    filter when the layer narrows (d_out < d_in), which costs
-    N*d_in*d_out + N^2*d_out instead of N^2*d_in + N*d_in*d_out, and before
-    it otherwise. The two orders agree up to rounding. With ``second``, a
-    second operand on the same filters, P_m meets both views side by side
-    in one product, and the pair of outputs is returned.
+    ``out[v, m] = P_m @ views[v][m] @ theta[m]`` for V (M, N, d) operands
+    on the same filters, already dropped out. Branches run one at a time,
+    and P_m meets all V operands side by side in one product, applied to
+    the narrower side: after the filter when the layer narrows (d_out <
+    d_in), which costs N*d_in*d_out + N^2*d_out instead of N^2*d_in +
+    N*d_in*d_out, and before it otherwise (equal up to rounding).
     """
-    views = [hidden] if second is None else [hidden, second]
     narrows = theta.shape[2] < theta.shape[1]
-    out = np.empty((len(views), len(props), hidden.shape[1], theta.shape[2]))
+    out = np.empty((len(views), len(props), views[0].shape[1], theta.shape[2]))
     for m, prop in enumerate(props):
         sides = [h[m] @ theta[m] if narrows else h[m] for h in views]
         block = prop.apply(np.concatenate(sides, axis=1))
         block = block.reshape(len(block), len(views), -1)
         for v in range(len(views)):
             out[v, m] = block[:, v] if narrows else block[:, v] @ theta[m]
-    return out[0] if second is None else out
+    return out
 
 
 def _layer_backward(props, hidden, grad_out):
@@ -201,10 +198,11 @@ def model_forward(props, features, params: ModelParams, dropout_rate: float = 0.
     During training every layer input (the feature matrix included) is
     multiplied in place into an inverted-scaling dropout mask, all drawn up
     front, branch by branch and input to output, so inference needs no
-    rescaling. Hidden layers are rectified; the last layer emits raw branch
-    logits, fused as ``sum_m omega_m * logits_m``. ``with_eval`` also sets
-    ``eval_probabilities``: a no-dropout view runs alongside, sharing each
-    operator product, and without masks it is the same array.
+    rescaling. Each layer runs every view in one kernel call: the training
+    operand, then with ``with_eval`` and masks the unmasked view behind
+    ``eval_probabilities`` (without masks that is the training view itself).
+    Only hidden layers are rectified; the last layer emits raw branch
+    logits, fused as ``sum_m omega_m * logits_m``.
     """
     features = np.asarray(features, dtype=np.float64)
     if len(props) != params.n_branches:
@@ -229,28 +227,23 @@ def model_forward(props, features, params: ModelParams, dropout_rate: float = 0.
                 drawn /= 1.0 - dropout_rate
         scale = 1.0 / (1.0 - dropout_rate)
     hidden = np.broadcast_to(features, (params.n_branches, *features.shape))
-    plain = hidden if with_eval and masks[0] is not None else None
+    views = [hidden] * (2 if with_eval and masks[0] is not None else 1)
     inputs = []
-    for theta, mask in zip(params.layers, masks):
+    for i, (theta, mask) in enumerate(zip(params.layers, masks)):
         if mask is not None:
-            hidden = np.multiply(hidden, mask, out=mask)
-        inputs.append(hidden)
-        if plain is None:
-            logits = gc_layer_forward(props, hidden, theta)
-        else:
-            logits, eval_logits = gc_layer_forward(props, hidden, theta, plain)
-            plain = np.maximum(eval_logits, 0.0)
-        hidden = np.maximum(logits, 0.0)
-    fused = np.sum(params.omega[:, None, None] * logits, axis=0)
-    probabilities = softmax_rows(fused)
-    eval_probs = probabilities if with_eval else None
-    if plain is not None:
-        eval_probs = softmax_rows(
-            np.sum(params.omega[:, None, None] * eval_logits, axis=0))
+            views[0] = np.multiply(views[0], mask, out=mask)
+        inputs.append(views[0])
+        logits = gc_layer_forward(props, views, theta)
+        if i + 1 < params.n_layers:
+            views = list(np.maximum(logits, 0.0))
+    fused = [np.sum(params.omega[:, None, None] * view, axis=0)
+             for view in logits]
+    probabilities = [softmax_rows(view) for view in fused]
     return ForwardTrace(props=list(props), layer_inputs=inputs,
-                        dropout_scale=scale, logits=logits,
-                        fused_logits=fused, probabilities=probabilities,
-                        eval_probabilities=eval_probs)
+                        dropout_scale=scale, logits=logits[0],
+                        fused_logits=fused[0], probabilities=probabilities[0],
+                        eval_probabilities=(probabilities[-1] if with_eval
+                                            else None))
 
 
 @dataclass

@@ -85,17 +85,25 @@ class Adam:
         """Apply one step to ``param`` in place.
 
         Each key keeps its own step counter, so a tensor first updated at
-        epoch t gets fresh bias correction from its own t=1.
+        epoch t gets fresh bias correction from its own t=1, and its own
+        moment arrays, updated in place. The step is built in place too, in
+        the operation order of ``lr * m_hat / (sqrt(v_hat) + eps)``.
         """
-        m, v, t = self._state.get(key) or (np.zeros_like(param),
-                                            np.zeros_like(param), 0)
-        t += 1
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-        self._state[key] = (m, v, t)
-        m_hat = m / (1.0 - self.beta1 ** t)
-        v_hat = v / (1.0 - self.beta2 ** t)
-        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        if key not in self._state:
+            self._state[key] = [np.zeros_like(param), np.zeros_like(param), 0]
+        state = self._state[key]
+        state[2] += 1
+        m, v, t = state
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        denom = np.sqrt(v / (1.0 - self.beta2 ** t))
+        denom += self.eps
+        step = m / (1.0 - self.beta1 ** t)
+        step *= self.learning_rate
+        step /= denom
+        param -= step
 
 
 @dataclass

@@ -175,6 +175,14 @@ class TestParseRunConfig:
      "data.synth"),
     ({"data": {"synth": {**SYNTH_RECIPE, "n_features": 2 ** 62}}},
      "data.synth"),
+    # empty paths are refused before the dataset is built
+    ({"out": ""}, "out"),
+    ({"data": {"features": "", "labels": "l.csv", "demographics": "d.csv"}},
+     "data.features"),
+    ({"data": {"features": "f.csv", "labels": "", "demographics": "d.csv"}},
+     "data.labels"),
+    ({"data": {"features": "f.csv", "labels": "l.csv", "demographics": ""}},
+     "data.demographics"),
 ])
 def test_malformed_field_named_through_main(tmp_path, capsys, extra, field):
     config = write_config(tmp_path, **extra)
@@ -197,6 +205,35 @@ def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch, raised,
     monkeypatch.setattr(popgcn.cli, "generate_synthetic", exhausted)
     assert main(["cv", "--config", write_config(tmp_path)]) == 1
     assert capsys.readouterr().err.strip().splitlines() == [line]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cv", "--config", "CONFIG"], ["compare", "--config", "CONFIG"],
+    ["graph-stats", "--config", "CONFIG"], ["synth"]])
+def test_empty_out_flag_refused(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path)
+    argv = [config if arg == "CONFIG" else arg for arg in argv]
+    assert main([*argv, "--out", ""]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: config: --out: must not be an empty path"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["cv", "compare"])
+@pytest.mark.parametrize("flag, train", [
+    (["--folds", "5"], QUICK_TRAIN),
+    ([], {**QUICK_TRAIN, "folds": 5}),
+])
+def test_too_many_folds_named_through_main(tmp_path, capsys, command, flag,
+                                           train):
+    # 12 nodes in 3 classes: 4 members each, too few for 5 folds
+    config = write_config(tmp_path, train=train,
+                          data={"synth": {**SYNTH_RECIPE, "n_nodes": 12}})
+    assert main([command, "--config", config, *flag]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: config: train.folds: class 0 has 4 members, "
+        "fewer than the 5 folds"]
 
 
 def test_negative_seed_flag_named_through_main(tmp_path, capsys):
@@ -602,6 +639,9 @@ class TestCompareCommand:
     @pytest.mark.parametrize("flag, extra", [
         (["--subsets", "informative,bogus"], {}),
         ([], {"compare": {"subsets": [["informative"], ["bogus"]]}}),
+        (["--subsets", "informative+noise,noise+informative"], {}),
+        ([], {"compare": {"subsets": [["informative", "noise"],
+                                      ["noise", "informative"]]}}),
     ])
     def test_unknown_subset_fails_before_training(self, tmp_path, capsys,
                                                   monkeypatch, flag, extra):
@@ -619,6 +659,27 @@ class TestCompareCommand:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: config: compare.subsets: ")
+        assert calls == []
+
+    @pytest.mark.parametrize("flag, extra, line", [
+        (["--baselines", "linear,linear"], {},
+         "error: config: --baselines: repeated baseline 'linear'"),
+        ([], {"compare": {"baselines": ["linear", "avg_gcn", "linear"]}},
+         "error: config: compare.baselines: repeated baseline 'linear'"),
+        (["--subsets", "informative+noise,noise+informative"], {},
+         "error: config: compare.subsets: "
+         "repeated subset 'informative+noise'"),
+    ])
+    def test_repeated_entry_fails_before_training(self, tmp_path, capsys,
+                                                  monkeypatch, flag, extra,
+                                                  line):
+        calls = []
+        monkeypatch.setattr(popgcn.train, "train_model",
+                            lambda *args, **kwargs: calls.append(1))
+        code = main(["compare", "--config", write_config(tmp_path, **extra),
+                     *flag])
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [line]
         assert calls == []
 
     def test_affinities_averaged_once_before_training(self, tmp_path, capsys,

@@ -92,8 +92,8 @@ WIDTH_IDS = ["narrows", "widens", "keeps"]
 class TestLayerForward:
     def test_identity_prop_identity_theta(self):
         acts = np.array([[1.0, -2.0], [3.0, 4.0]])
-        out = popgcn.gc_layer_forward([identity_prop(2)], acts[None],
-                                      np.eye(2)[None])
+        out = popgcn.gc_layer_forward([identity_prop(2)], [acts[None]],
+                                      np.eye(2)[None])[0]
         assert np.array_equal(out, acts[None])
 
     def test_relu_clamps_negatives(self):
@@ -110,8 +110,8 @@ class TestLayerForward:
     def test_propagation_hand_case(self):
         # averaging operator: both rows become the mean 3, filtered by theta=3
         prop = popgcn.PropagationMatrix(np.full((2, 2), 0.5))
-        out = popgcn.gc_layer_forward([prop], np.array([[[2.0], [4.0]]]),
-                                      np.array([[[3.0]]]))
+        out = popgcn.gc_layer_forward([prop], [np.array([[[2.0], [4.0]]])],
+                                      np.array([[[3.0]]]))[0]
         assert np.allclose(out, [[[9.0], [9.0]]])
 
     def test_each_branch_uses_its_operator_input_and_mask(self):
@@ -120,7 +120,7 @@ class TestLayerForward:
         hidden = rng.standard_normal((2, 4, 3))
         masks = rng.integers(0, 2, size=(2, 4, 3)) * 2.0
         theta = rng.standard_normal((2, 3, 5))
-        out = popgcn.gc_layer_forward(props, hidden * masks, theta)
+        out = popgcn.gc_layer_forward(props, [hidden * masks], theta)[0]
         for m in range(2):
             expected = props[m].matrix @ (hidden[m] * masks[m]) @ theta[m]
             assert np.array_equal(out[m], expected)
@@ -134,7 +134,7 @@ class TestLayerForward:
         hidden = rng.standard_normal((2, ds.n_nodes, d_in))
         masks = rng.integers(0, 2, size=hidden.shape) * 2.0
         theta = rng.standard_normal((2, d_in, d_out))
-        out = popgcn.gc_layer_forward(props, hidden * masks, theta)
+        out = popgcn.gc_layer_forward(props, [hidden * masks], theta)[0]
         for m in range(2):
             expected = (props[m].matrix @ (hidden[m] * masks[m])) @ theta[m]
             assert np.allclose(out[m], expected, rtol=1e-12,
@@ -149,7 +149,7 @@ class TestLayerForward:
         rng = np.random.default_rng(18)
         hidden = rng.standard_normal((2, ds.n_nodes, d_in))
         theta = rng.standard_normal((2, d_in, d_out))
-        popgcn.gc_layer_forward(spies, hidden, theta)
+        popgcn.gc_layer_forward(spies, [hidden], theta)
         assert [spy.widths for spy in spies] == [[min(d_in, d_out)]] * 2
 
     @pytest.mark.parametrize("d_in, d_out", WIDTHS, ids=WIDTH_IDS)
@@ -161,11 +161,11 @@ class TestLayerForward:
         rng = np.random.default_rng(20)
         first, second = rng.standard_normal((2, 2, ds.n_nodes, d_in))
         theta = rng.standard_normal((2, d_in, d_out))
-        pair = popgcn.gc_layer_forward(spies, first, theta, second)
+        pair = popgcn.gc_layer_forward(spies, (first, second), theta)
         assert [spy.widths for spy in spies] == [[2 * min(d_in, d_out)]] * 2
         for out, hidden in zip(pair, (first, second)):
             np.testing.assert_allclose(
-                out, popgcn.gc_layer_forward(spies, hidden, theta),
+                out, popgcn.gc_layer_forward(spies, [hidden], theta)[0],
                 rtol=1e-12)
 
     @pytest.mark.parametrize("d_in, d_out", WIDTHS, ids=WIDTH_IDS)
@@ -236,8 +236,8 @@ class TestBranchForward:
                                      rng=np.random.default_rng(19),
                                      training=True)
         reference = np.random.default_rng(19)
-        first = popgcn.gc_layer_forward(props, trace.layer_inputs[0],
-                                        params.layers[0])
+        first = popgcn.gc_layer_forward(props, [trace.layer_inputs[0]],
+                                        params.layers[0])[0]
         for m in range(2):
             for i, width in enumerate((4, 3)):
                 expected = (reference.random((6, width)) >= 0.4) / 0.6
@@ -439,6 +439,29 @@ class TestModelForward:
         assert [spy.widths for spy in spies] == [[8, 4, 3]] * len(spies)
         plain = popgcn.model_forward(spies, ds.features, params)
         assert np.array_equal(trace.probabilities, plain.probabilities)
+
+    @pytest.mark.parametrize("with_eval", [False, True],
+                             ids=["one_view", "paired"])
+    def test_only_hidden_layers_rectified(self, monkeypatch, with_eval):
+        # one rectification over every view between the two layers, none
+        # after the output layer
+        ds = quick_dataset()
+        props = popgcn.build_propagation_matrices(ds)
+        params = popgcn.init_params(ds.n_features, (16,), ds.n_classes,
+                                    len(props), np.random.default_rng(25))
+        calls = []
+        maximum = np.maximum
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return maximum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "maximum", counted)
+        popgcn.model_forward(props, ds.features, params, 0.3,
+                             np.random.default_rng(26), training=True,
+                             with_eval=with_eval)
+        views = 2 if with_eval else 1
+        assert calls == [(views, len(props), ds.n_nodes, 16)]
 
     def test_branch_count_mismatch_rejected(self):
         ds = quick_dataset()

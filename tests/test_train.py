@@ -126,6 +126,32 @@ class TestAdam:
         assert alias is param
         assert alias[0, 0] < 1.0 and alias[0, 1] > 2.0
 
+    def test_moments_kept_in_the_same_arrays(self):
+        opt = popgcn.Adam(learning_rate=0.1)
+        param = np.zeros((2, 3))
+        opt.update(("p",), param, np.ones((2, 3)))
+        m, v, _ = opt._state[("p",)]
+        for step in range(3):
+            opt.update(("p",), param, np.full((2, 3), step - 1.0))
+            assert opt._state[("p",)][0] is m
+            assert opt._state[("p",)][1] is v
+
+    def test_steps_match_bias_corrected_formula_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        opt = popgcn.Adam(learning_rate=0.01)
+        param = rng.standard_normal((2, 20, 16))
+        expected = param.copy()
+        m, v = np.zeros_like(param), np.zeros_like(param)
+        for t in range(1, 51):
+            grad = rng.standard_normal(param.shape)
+            opt.update(("p",), param, grad)
+            m = 0.9 * m + (1.0 - 0.9) * grad
+            v = 0.999 * v + (1.0 - 0.999) * grad * grad
+            m_hat = m / (1.0 - 0.9 ** t)
+            v_hat = v / (1.0 - 0.999 ** t)
+            expected -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.array_equal(param, expected)
+
 
 class TestMetrics:
     def test_accuracy_hand_case(self):
