@@ -52,13 +52,36 @@ class RunConfig:
     subsets: list[list[str]] | None
 
 
+class _JSONObject(dict):
+    """A parsed JSON object; ``repeated`` is the first key it gave twice."""
+
+    repeated = None
+
+
+def _json_object(pairs) -> _JSONObject:
+    """``json.loads`` object hook that keeps the last value of a key, as the
+    default does, and records the first repeated key."""
+    obj = _JSONObject(pairs)
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            obj.repeated = key
+            break
+        seen.add(key)
+    return obj
+
+
 def _check_keys(path: str, raw, keys) -> dict:
-    """``raw``, checked to be a JSON object with no key outside ``keys``."""
+    """``raw``, checked to be a JSON object that repeats no key and has no
+    key outside ``keys``."""
     if not isinstance(raw, dict):
         raise ConfigError(path, "must be an object")
+    prefix = "" if path == "$" else f"{path}."
+    repeated = getattr(raw, "repeated", None)
+    if repeated is not None:
+        raise ConfigError(f"{prefix}{repeated}", "repeated key")
     unknown = sorted(set(raw) - set(keys), key=str)
     if unknown:
-        prefix = "" if path == "$" else f"{path}."
         raise ConfigError(f"{prefix}{unknown[0]}", "unknown key")
     return raw
 
@@ -153,7 +176,7 @@ def load_run_config(path) -> RunConfig:
     if not path.exists():
         raise ConfigError("$", f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), object_pairs_hook=_json_object)
     except ValueError as err:  # also ints past the str conversion limit
         raise ConfigError("$", f"invalid JSON: {err}") from None
     return parse_run_config(raw)
@@ -257,11 +280,10 @@ def _set_up(args) -> tuple[RunConfig, Dataset, TrainConfig]:
     if getattr(args, "out", None) is not None:
         run.out = _path("--out", args.out)
     if getattr(args, "baselines", None) is not None:
-        run.baselines = _check_baselines(
-            "--baselines", [n for n in args.baselines.split(",") if n])
+        run.baselines = _check_baselines("--baselines",
+                                         args.baselines.split(","))
     if getattr(args, "subsets", None) is not None:
-        run.subsets = [part.split("+")
-                       for part in args.subsets.split(",") if part]
+        run.subsets = [part.split("+") for part in args.subsets.split(",")]
     paths = run.data_paths
     dataset = (generate_synthetic(run.synth) if paths is None
                else load_dataset(paths["features"], paths["labels"],

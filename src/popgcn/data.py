@@ -7,6 +7,7 @@ demographic matrix whose columns each define one population graph.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -264,38 +265,44 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
 def _read_csv_matrix(path, *, header: bool):
     """Parse a numeric CSV into (header_names, float matrix, line numbers).
 
-    A UTF-8 byte-order mark and blank lines are skipped. A cell must be a
-    finite number. Each data row's 0-based file line (a header and blank lines
-    count) is returned; errors about the file name a row by it and a column.
+    The file must be UTF-8 text; a byte-order mark and blank lines are
+    skipped. A cell must be a finite number. Each data row's 0-based file line
+    (a header and blank lines count) is returned; errors about the file name a
+    row by it and a column.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: file not found")
+    try:  # decoded whole, so the error's byte offset gives its line
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as err:
+        # the line breaks before it, \n, \r\n or \r as the reader counts them
+        line_no = len((err.object[:err.start] + b".").splitlines()) - 1
+        raise DataError(f"{path}: not UTF-8 text at row {line_no}") from None
     names = None
     rows: list[list[float]] = []
     lines: list[int] = []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        for line_no, row in enumerate(csv.reader(handle)):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if header and names is None:
-                names = [cell.strip() for cell in row]
-                continue
-            values = []
-            for col, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric value {cell.strip()!r} "
-                        f"at row {line_no}, column {col}") from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: non-finite value {cell.strip()!r} "
-                        f"at row {line_no}, column {col}")
-                values.append(value)
-            rows.append(values)
-            lines.append(line_no)
+    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline=""))):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if header and names is None:
+            names = [cell.strip() for cell in row]
+            continue
+        values = []
+        for col, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric value {cell.strip()!r} "
+                    f"at row {line_no}, column {col}") from None
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{path}: non-finite value {cell.strip()!r} "
+                    f"at row {line_no}, column {col}")
+            values.append(value)
+        rows.append(values)
+        lines.append(line_no)
     if not rows:
         raise DataError(f"{path}: no data rows")
     width = len(rows[0])

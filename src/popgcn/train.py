@@ -106,13 +106,13 @@ class Adam:
         param -= step
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedModel:
-    """Best-validation parameters, the epoch they come from (``best_epoch``)
-    and the number of epochs run (``stopped_epoch``)."""
+    """Best-validation parameters and their no-dropout (N, K) probabilities
+    on every node, from epoch ``best_epoch`` of the ``stopped_epoch`` run."""
 
     params: ModelParams
-    props: list
+    probabilities: np.ndarray
     stopped_epoch: int
     best_epoch: int
 
@@ -167,9 +167,10 @@ def train_model(dataset: Dataset, props, config: TrainConfig, seed,
     Phase one freezes the fusion weights at 1/M and trains only the branch
     filters for ``phase1_epochs``; phase two trains filters and fusion weights
     jointly with early stopping on a stratified held-out slice of the training
-    nodes. Returns the best-validation-loss checkpoint seen at any epoch.
-    Labels outside ``train_idx`` are never read, and the whole run is a pure
-    function of (dataset, props, config, seed).
+    nodes. Returns the best-validation-loss checkpoint seen at any epoch and
+    the evaluation probabilities that chose it. Labels outside ``train_idx``
+    are never read, and the run is a pure function of (dataset, props,
+    config, seed).
 
     One call per epoch evaluates it and starts the next epoch's training
     trace, sharing each operator product and drawing the masks a separate
@@ -222,6 +223,7 @@ def train_model(dataset: Dataset, props, config: TrainConfig, seed,
         if val_loss < best_loss:
             best_loss = val_loss
             best_params = params.copy()
+            best_probabilities = trace.eval_probabilities
             best_epoch = epoch
             stale = 0
         else:
@@ -229,20 +231,21 @@ def train_model(dataset: Dataset, props, config: TrainConfig, seed,
             if phase2 and stale >= config.patience:
                 break
 
-    return TrainedModel(params=best_params, props=list(props),
+    return TrainedModel(params=best_params, probabilities=best_probabilities,
                         stopped_epoch=epoch + 1, best_epoch=best_epoch)
 
 
 def evaluate(model: TrainedModel, dataset: Dataset, test_idx,
              train_idx=None) -> dict:
-    """Accuracy, per-class accuracy, and confusion matrix on ``test_idx``.
-
-    With ``train_idx``, also ``train_accuracy`` on those nodes, read from the
-    same forward pass.
+    """Accuracy, per-class accuracy, and confusion matrix on ``test_idx``,
+    scored from ``model.probabilities`` (no forward pass), so ``dataset`` must
+    be the one it was trained on. With ``train_idx``, also ``train_accuracy``.
     """
     test_idx = np.asarray(test_idx, dtype=np.int64)
-    probs = model_forward(model.props, dataset.features, model.params, 0.0,
-                          None, training=False).probabilities
+    probs = model.probabilities
+    if dataset.n_nodes != len(probs):
+        raise ValueError(f"model scores {len(probs)} nodes, dataset has "
+                         f"{dataset.n_nodes}")
     predictions = probs.argmax(axis=1)
     confusion = confusion_matrix(dataset.labels, predictions, test_idx,
                                  dataset.n_classes)

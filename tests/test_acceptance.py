@@ -193,7 +193,7 @@ def test_criterion_8_separable_cohort_is_memorized():
                                 patience=500, seed=ACC_SEED)
     props = popgcn.build_propagation_matrices(ds)
     model = popgcn.train_model(ds, props, config, seed=ACC_SEED)
-    probs = popgcn.model_forward(model.props, ds.features,
+    probs = popgcn.model_forward(props, ds.features,
                                  model.params).probabilities
     train_acc = popgcn.accuracy(probs, ds.labels, np.arange(ds.n_nodes))
     ok = train_acc >= 0.99 and model.stopped_epoch <= 500

@@ -37,10 +37,10 @@ def _forward_counts(folds, config):
     """Training and evaluation forwards of a cross-validation run. Each fold
     opens with a training forward; each epoch then ends in one training
     forward that also evaluates it, except the last epoch of the budget,
-    which evaluates alone. ``evaluate`` adds one per fold."""
+    which evaluates alone. ``evaluate`` adds none."""
     stopped = [fold["stopped_epoch"] for fold in folds]
     full = sum(epochs == config.max_total_epochs for epochs in stopped)
-    return sum(stopped) + len(stopped) - full, len(stopped) + full
+    return sum(stopped) + len(stopped) - full, full
 
 
 def test_traced_run_counts_one_span_per_call():

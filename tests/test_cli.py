@@ -243,6 +243,33 @@ def test_negative_seed_flag_named_through_main(tmp_path, capsys):
         "error: config: train.seed: seed must be nonnegative"]
 
 
+# (keys down to the object that repeats a key, the key, its second value,
+# field path); json.loads alone would keep the second value
+@pytest.mark.parametrize("where, key, value, field", [
+    ((), "out", "again.json", "out"),
+    (("train",), "folds", 4, "train.folds"),
+    (("data", "synth"), "seed", 12, "data.synth.seed"),
+    (("edge_rules", 0), "kind", "equality", "edge_rules[0].kind"),
+], ids=["root", "train", "data.synth", "edge_rules[0]"])
+def test_repeated_key_named_through_main(tmp_path, capsys, monkeypatch, where,
+                                         key, value, field):
+    monkeypatch.chdir(tmp_path)
+    raw = {"data": {"synth": dict(SYNTH_RECIPE)}, "train": dict(QUICK_TRAIN),
+           "edge_rules": [{"element": "noise", "kind": "equality"}],
+           "out": "report.json"}
+    target = raw
+    for step in where:
+        target = target[step]
+    assert key in target
+    target["<repeat>"] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw).replace('"<repeat>"', json.dumps(key)))
+    assert main(["cv", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: config: {field}: repeated key"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+
 # A config using every key; the CSV variant swaps in the three data paths.
 FULL_CONFIG = {
     "data": {"synth": dict(SYNTH_RECIPE)},
@@ -551,6 +578,26 @@ class TestCvCommand:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {paths['labels']}: {message}"]
 
+    # (file, file line of the bad byte, nodes, least byte offset); the last
+    # case puts the byte past the first 8 KB chunk a text reader decodes
+    @pytest.mark.parametrize("file, line, n_nodes, offset", [
+        ("features", 0, 36, 0), ("labels", 7, 36, 0),
+        ("demographics", 3, 36, 0), ("features", 80, 90, 8192),
+    ], ids=["features", "labels", "demographics", "features-past-8kb"])
+    def test_non_utf8_byte_names_file_and_row(self, tmp_path, capsys, file,
+                                              line, n_nodes, offset):
+        paths = popgcn.save_dataset(quick_dataset(n_nodes=n_nodes),
+                                    tmp_path / "data")
+        lines = paths[file].read_bytes().splitlines(keepends=True)
+        lines[line] = b"\xff" + lines[line]
+        assert len(b"".join(lines[:line])) >= offset
+        paths[file].write_bytes(b"".join(lines))
+        config = write_config(tmp_path, data={
+            key: str(path) for key, path in paths.items()})
+        assert main(["cv", "--config", config]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {paths[file]}: not UTF-8 text at row {line}"]
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["cv", "--config", str(tmp_path / "absent.json")])
         assert code == 1
@@ -642,6 +689,9 @@ class TestCompareCommand:
         (["--subsets", "informative+noise,noise+informative"], {}),
         ([], {"compare": {"subsets": [["informative", "noise"],
                                       ["noise", "informative"]]}}),
+        (["--subsets", ""], {}),
+        (["--subsets", ","], {}),
+        (["--subsets", "informative,,noise"], {}),
     ])
     def test_unknown_subset_fails_before_training(self, tmp_path, capsys,
                                                   monkeypatch, flag, extra):
@@ -669,6 +719,17 @@ class TestCompareCommand:
         (["--subsets", "informative+noise,noise+informative"], {},
          "error: config: compare.subsets: "
          "repeated subset 'informative+noise'"),
+        # an empty entry of a flag's list is an unknown name, not skipped
+        (["--baselines", ""], {},
+         "error: config: --baselines: unknown baseline ''; "
+         "choose from ['avg_gcn', 'dense_nn', 'linear']"),
+        (["--baselines", "linear,,"], {},
+         "error: config: --baselines: unknown baseline ''; "
+         "choose from ['avg_gcn', 'dense_nn', 'linear']"),
+        (["--subsets", ""], {},
+         "error: config: compare.subsets: unknown element ''"),
+        (["--subsets", "informative,,noise"], {},
+         "error: config: compare.subsets: unknown element ''"),
     ])
     def test_repeated_entry_fails_before_training(self, tmp_path, capsys,
                                                   monkeypatch, flag, extra,

@@ -233,6 +233,18 @@ class TestLoadSave:
                                 tmp_path / "labels.csv",
                                 tmp_path / "demographics.csv")
 
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_undecodable_byte_row_follows_the_reader(self, tmp_path, eol):
+        # a bad cell and a bad byte on the same line name the same row
+        for cell, message in ((b"x5", r"non-numeric .* at row 3,"),
+                              (b"\xff5", r"not UTF-8 text at row 3$")):
+            path = tmp_path / "features.csv"
+            path.write_bytes(eol.join([b"1,2", b"3,4", b"", cell + b",6",
+                                       b""]))
+            with pytest.raises(DataError, match=message):
+                popgcn.load_dataset(path, path, path)
+
     def test_negative_label_rejected(self, tmp_path):
         (tmp_path / "features.csv").write_text("1,2\n3,4\n")
         (tmp_path / "labels.csv").write_text("0\n-1\n")

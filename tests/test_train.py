@@ -383,12 +383,29 @@ class TestPairedSchedule:
         assert [sum(prop is p for p in applied) for prop in props] == \
             [n_layers * (2 * model.stopped_epoch + 1)] * len(props)
 
+    @pytest.mark.parametrize("dropout_rate", [0.3, 0.0])
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=SCHEDULE_IDS)
+    def test_probabilities_are_those_of_best_params(self, schedule,
+                                                    dropout_rate):
+        ds = quick_dataset()
+        props = popgcn.build_propagation_matrices(ds)
+        config = quick_config(hidden_dims=(12, 4), dropout_rate=dropout_rate,
+                              **schedule)
+        model = popgcn.train_model(ds, props, config, seed=10)
+        assert (model.stopped_epoch == config.max_total_epochs) == \
+            (schedule is SCHEDULES[0])
+        fresh = popgcn.model_forward(props, ds.features,
+                                     model.params).probabilities
+        np.testing.assert_allclose(model.probabilities, fresh, rtol=1e-12)
+        assert np.array_equal(model.probabilities.argmax(axis=1),
+                              fresh.argmax(axis=1))
+
 
 class TestEvaluate:
     def _oracle_model(self):
         params = popgcn.ModelParams([np.eye(3)[None]], np.array([1.0]))
-        props = [popgcn.PropagationMatrix(np.eye(3))]
-        return popgcn.TrainedModel(params=params, props=props,
+        probabilities = np.full((3, 3), 0.1) + 0.7 * np.eye(3)
+        return popgcn.TrainedModel(params=params, probabilities=probabilities,
                                    stopped_epoch=0, best_epoch=-1)
 
     def _oracle_dataset(self):
@@ -408,6 +425,12 @@ class TestEvaluate:
         assert "train_accuracy" not in popgcn.evaluate(model, dataset, [0])
         result = popgcn.evaluate(model, dataset, [0], train_idx=[1, 2])
         assert result["train_accuracy"] == 1.0
+
+    def test_refuses_dataset_of_another_size(self):
+        dataset = popgcn.Dataset(np.eye(4), np.array([0, 1, 2, 0]),
+                                 np.zeros((4, 1)), ("e",), 3)
+        with pytest.raises(ValueError, match="3 nodes, dataset has 4"):
+            popgcn.evaluate(self._oracle_model(), dataset, [0])
 
     def test_absent_class_reports_none(self):
         result = popgcn.evaluate(self._oracle_model(), self._oracle_dataset(),
@@ -531,6 +554,31 @@ class TestRunCV:
         config = quick_config()
         popgcn.run_cv(quick_dataset(), config)
         assert callers == ["evaluate"] * (2 * config.folds)
+
+    def test_one_forward_per_epoch_plus_one_per_fold(self, monkeypatch):
+        # the fold's opening forward, then one per epoch; evaluate scores the
+        # probabilities that chose the checkpoint and runs none
+        callers, per_fold = [], []
+        real_forward = train_mod.model_forward
+        real_train = train_mod.train_model
+
+        def forward_spy(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_forward(*args, **kwargs)
+
+        def train_spy(*args, **kwargs):
+            before = len(callers)
+            model = real_train(*args, **kwargs)
+            per_fold.append((len(callers) - before, model.stopped_epoch + 1))
+            return model
+
+        monkeypatch.setattr(train_mod, "model_forward", forward_spy)
+        monkeypatch.setattr(train_mod, "train_model", train_spy)
+        config = quick_config()
+        popgcn.run_cv(quick_dataset(), config)
+        assert len(per_fold) == config.folds
+        assert all(calls == want for calls, want in per_fold)
+        assert callers == ["train_model"] * sum(want for _, want in per_fold)
 
     def test_config_immutable_across_run(self):
         ds = quick_dataset()
