@@ -14,11 +14,11 @@ from .graph import (EQUALITY, THRESHOLD, AffinityMatrix, EdgeRule, GraphError,
                     PropagationMatrix, build_affinity, build_affinity_matrices,
                     build_edge_matrix, build_propagation_matrices,
                     default_edge_rules, graph_statistics, normalize_affinity,
-                    rules_or_defaults, similarity_matrix, spectral_radius)
-from .model import (ForwardTrace, Gradients, ModelParams, class_weights,
-                    compute_gradients, finite_diff_check, gc_layer_forward,
-                    glorot_uniform, init_params, model_forward,
-                    regularization_term, softmax_rows, weighted_cross_entropy)
+                    rules_or_defaults, similarity_matrix)
+from .model import (ForwardTrace, ModelParams, class_weights, compute_gradients,
+                    finite_diff_check, gc_layer_forward, glorot_uniform,
+                    init_params, model_forward, regularization_term,
+                    softmax_rows, weighted_cross_entropy)
 from .train import (Adam, CVReport, TrainConfig, TrainedModel, TrainingError,
                     accuracy, config_to_dict, confusion_matrix,
                     cv_folds_and_seeds, evaluate, run_cv, split_hash,

@@ -266,9 +266,9 @@ def _read_csv_matrix(path, *, header: bool):
     """Parse a numeric CSV into (header_names, float matrix, line numbers).
 
     The file must be UTF-8 text; a byte-order mark and blank lines are
-    skipped. A cell must be a finite number. Each data row's 0-based file line
-    (a header and blank lines count) is returned; errors about the file name a
-    row by it and a column.
+    skipped. A cell must be a finite number with no line break, so a record
+    is one line. Each data row's 0-based file line (a header and blank lines
+    count) is returned; errors about the file name a row by it and a column.
     """
     path = Path(path)
     if not path.exists():
@@ -283,6 +283,10 @@ def _read_csv_matrix(path, *, header: bool):
     rows: list[list[float]] = []
     lines: list[int] = []
     for line_no, row in enumerate(csv.reader(io.StringIO(text, newline=""))):
+        for col, cell in enumerate(row):
+            if "\n" in cell or "\r" in cell:
+                raise DataError(f"{path}: line break inside a cell at row "
+                                f"{line_no}, column {col}")
         if not row or all(not cell.strip() for cell in row):
             continue
         if header and names is None:

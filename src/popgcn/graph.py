@@ -201,12 +201,6 @@ def normalize_affinity(affinity: AffinityMatrix) -> PropagationMatrix:
         matrix=augmented * np.outer(inv_sqrt_degree, inv_sqrt_degree))
 
 
-def spectral_radius(matrix) -> float:
-    """Largest absolute eigenvalue of a square matrix."""
-    eigenvalues = np.linalg.eigvals(np.asarray(matrix, dtype=np.float64))
-    return float(np.max(np.abs(eigenvalues)))
-
-
 def default_edge_rules(dataset: Dataset) -> list[EdgeRule]:
     """Per-element default rules, overridable by name in run configs.
 

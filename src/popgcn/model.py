@@ -2,8 +2,8 @@
 
 Each demographic element's graph drives one branch of graph-convolution
 layers over the shared feature matrix. All branches share the layer widths,
-so a layer's filters are one (M, d_in, d_out) array, and forward, backward
-and the optimizer loop over layers only. A layer kernel applies the M
+so a layer's filters are one (M, d_in, d_out) array, and forward and
+backward loop over layers only. A layer kernel applies the M
 operators one branch at a time, so no (M, N, d) operator product is held,
 and it applies each operator to the narrower side of the layer: a layer
 that narrows filters before it propagates (``P @ (H @ theta)``, as in Kipf
@@ -19,7 +19,7 @@ The hand-written backward pass is verified against finite differences.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,14 +33,17 @@ _FD_STEP = 1e-5
 @dataclass
 class ModelParams:
     """Filters of every branch, one (M, d_in, d_out) array per layer in input
-    to output order, plus the per-branch fusion weights omega, shape (M,)."""
+    to output order, each a view into the flat buffer ``filters``, plus the
+    per-branch fusion weights omega, shape (M,), in a buffer of their own.
+    The constructor copies its inputs."""
 
     layers: list[np.ndarray]
     omega: np.ndarray
+    filters: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.layers = [np.asarray(w, dtype=np.float64) for w in self.layers]
-        self.omega = np.asarray(self.omega, dtype=np.float64)
+        self.omega = np.array(self.omega, dtype=np.float64)
         if not self.layers or self.omega.ndim != 1 or not self.omega.size:
             raise ValueError("need at least one layer and a vector omega")
         for w in self.layers:
@@ -53,8 +56,10 @@ class ModelParams:
                 raise ValueError(
                     f"layer dimensions do not chain: {earlier.shape} "
                     f"then {later.shape}")
-        if not all(np.all(np.isfinite(w)) for w in [*self.layers, self.omega]):
+        self.filters = np.concatenate([w.ravel() for w in self.layers])
+        if not all(np.all(np.isfinite(w)) for w in (self.filters, self.omega)):
             raise ValueError("layer weights and omega must be finite")
+        self.layers = self.like(self.filters, self.omega).layers
 
     @property
     def n_branches(self) -> int:
@@ -64,12 +69,19 @@ class ModelParams:
     def n_layers(self) -> int:
         return len(self.layers)
 
+    def like(self, filters, omega) -> "ModelParams":
+        """Unchecked parameters of this layout on the buffers ``filters`` and
+        ``omega``; the layers are C-order views into ``filters``."""
+        clone, start = copy.copy(self), 0
+        clone.filters, clone.omega, clone.layers = filters, omega, []
+        for w in self.layers:
+            clone.layers.append(filters[start:start + w.size].reshape(w.shape))
+            start += w.size
+        return clone
+
     def copy(self) -> "ModelParams":
         """Deep copy; a copy of checked parameters is not checked again."""
-        clone = copy.copy(self)
-        clone.layers = [w.copy() for w in self.layers]
-        clone.omega = self.omega.copy()
-        return clone
+        return self.like(self.filters.copy(), self.omega.copy())
 
 
 @dataclass
@@ -246,22 +258,15 @@ def model_forward(props, features, params: ModelParams, dropout_rate: float = 0.
                                             else None))
 
 
-@dataclass
-class Gradients:
-    """Gradients laid out exactly like ModelParams."""
-
-    layers: list[np.ndarray]
-    omega: np.ndarray
-
-
 def regularization_term(params: ModelParams, l2_coeff: float) -> float:
     """l2_coeff times the squared Frobenius norm of every filter (omega exempt)."""
     return l2_coeff * sum(float(np.sum(w * w)) for w in params.layers)
 
 
 def compute_gradients(trace: ForwardTrace, labels, mask, class_weights,
-                      l2_coeff: float, params: ModelParams) -> Gradients:
-    """Exact gradients of the masked weighted cross-entropy plus L2 penalty.
+                      l2_coeff: float, params: ModelParams) -> ModelParams:
+    """Exact gradients of the masked weighted cross-entropy plus L2 penalty,
+    laid out like ``params`` (and unchecked).
 
     The trace must come from a forward pass on the same parameters. A hidden
     unit passes gradient, times the dropout scale, where its stored operand
@@ -287,16 +292,16 @@ def compute_gradients(trace: ForwardTrace, labels, mask, class_weights,
 
     omega_grad = np.array([np.sum(d_fused * logits) for logits in trace.logits])
 
+    grads = params.like(np.empty_like(params.filters), omega_grad)
     grad_out = params.omega[:, None, None] * d_fused
-    layer_grads: list[np.ndarray] = [np.empty(0)] * params.n_layers
     for i in range(params.n_layers - 1, -1, -1):
         theta, operand = params.layers[i], trace.layer_inputs[i]
         propagated, theta_grad = _layer_backward(trace.props, operand, grad_out)
-        layer_grads[i] = theta_grad + 2.0 * l2_coeff * theta
+        np.add(theta_grad, 2.0 * l2_coeff * theta, out=grads.layers[i])
         if i > 0:
             d_dropped = propagated @ theta.transpose(0, 2, 1)
             grad_out = d_dropped * (operand > 0) * trace.dropout_scale
-    return Gradients(layers=layer_grads, omega=omega_grad)
+    return grads
 
 
 def finite_diff_check(dataset, params: ModelParams, config, seed) -> float:
@@ -333,9 +338,9 @@ def finite_diff_check(dataset, params: ModelParams, config, seed) -> float:
 
     work = params.copy()
     max_err = 0.0
-    # every filter layer, then omega; analytic gradients in the same order
-    for tensor, exact_grad in zip([*work.layers, work.omega],
-                                  [*analytic.layers, analytic.omega]):
+    # every filter, input layer first, then omega; analytic gradients alike
+    for tensor, exact_grad in ((work.filters, analytic.filters),
+                               (work.omega, analytic.omega)):
         for flat in range(tensor.size):
             original = tensor.flat[flat]
             tensor.flat[flat] = original + _FD_STEP

@@ -207,10 +207,9 @@ def train_model(dataset: Dataset, props, config: TrainConfig, seed,
             raise TrainingError(f"non-finite training loss at epoch {epoch}")
         grads = compute_gradients(trace, labels, opt_idx, weights,
                                   config.l2_coeff, params)
-        for i, (theta, grad) in enumerate(zip(params.layers, grads.layers)):
-            optimizer.update(("theta", i), theta, grad)
+        optimizer.update("filters", params.filters, grads.filters)
         if phase2:
-            optimizer.update(("omega",), params.omega, grads.omega)
+            optimizer.update("omega", params.omega, grads.omega)
 
         # the budget's last epoch evaluates without a next training trace
         last = epoch + 1 == config.max_total_epochs

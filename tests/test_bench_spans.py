@@ -62,10 +62,10 @@ def test_traced_run_counts_one_span_per_call():
         _forward_counts(report.folds, config)
     n_layers = len(config.hidden_dims) + 1
     assert names.count("model.layer") == n_layers * forwards
-    # one Adam step per layer each epoch, plus omega's in phase two
+    # one Adam step for all filters each epoch, plus omega's in phase two
     phase2 = sum(max(0, fold["stopped_epoch"] - config.phase1_epochs)
                  for fold in report.folds)
-    assert names.count("train.adam") == n_layers * epochs + phase2
+    assert names.count("train.adam") == epochs + phase2
 
 
 @pytest.mark.parametrize("kind", ["linear", "dense_nn"])

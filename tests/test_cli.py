@@ -598,6 +598,29 @@ class TestCvCommand:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {paths[file]}: not UTF-8 text at row {line}"]
 
+    # (file, file line of the broken cell); line 0 of demographics is its
+    # header, so a header cell is probed too
+    @pytest.mark.parametrize("file, line", [
+        ("features", 5), ("labels", 7), ("demographics", 0),
+        ("demographics", 3),
+    ], ids=["features", "labels", "demographics-header", "demographics"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_line_break_inside_a_cell_names_file_and_row(
+            self, tmp_path, capsys, file, line, eol):
+        paths = popgcn.save_dataset(quick_dataset(), tmp_path / "data")
+        lines = paths[file].read_text().splitlines()
+        cells = lines[line].split(",")
+        cells[-1] = f'"{cells[-1]}{eol}"'
+        lines[line] = ",".join(cells)
+        paths[file].write_text(eol.join(lines) + eol, newline="")
+        config = write_config(tmp_path, data={
+            key: str(path) for key, path in paths.items()})
+        assert main(["cv", "--config", config]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {paths[file]}: line break inside a cell at row {line}, "
+            f"column {len(cells) - 1}"]
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["cv", "--config", str(tmp_path / "absent.json")])
         assert code == 1

@@ -245,6 +245,16 @@ class TestLoadSave:
             with pytest.raises(DataError, match=message):
                 popgcn.load_dataset(path, path, path)
 
+    def test_line_break_inside_a_cell_names_its_file_line(self, tmp_path):
+        # float("4\n") reads 4.0; accepted, the quoted break would number
+        # every later record one line low, so the bad cell on file line 4
+        # would be named at row 3
+        path = tmp_path / "features.csv"
+        path.write_bytes(b'1,2\r3,"4\n"\r5,6\r7,x\r')
+        with pytest.raises(DataError, match=r"line break inside a cell at "
+                                            r"row 1, column 1$"):
+            popgcn.load_dataset(path, path, path)
+
     def test_negative_label_rejected(self, tmp_path):
         (tmp_path / "features.csv").write_text("1,2\n3,4\n")
         (tmp_path / "labels.csv").write_text("0\n-1\n")

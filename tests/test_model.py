@@ -83,6 +83,33 @@ class TestParams:
         assert params.layers[0][0, 0, 0] != clone.layers[0][0, 0, 0]
         assert params.omega[0] == 1.0
 
+    def test_layers_view_one_flat_buffer(self):
+        params = popgcn.init_params(5, (4, 6), 3, 2, np.random.default_rng(2))
+        assert params.filters.ndim == 1
+        assert all(np.shares_memory(w, params.filters) for w in params.layers)
+        assert np.array_equal(params.filters, np.concatenate(
+            [w.ravel() for w in params.layers]))
+        params.filters[:] = np.arange(params.filters.size)
+        assert params.layers[0][0, 0, 0] == 0.0
+        assert params.layers[-1][-1, -1, -1] == params.filters.size - 1
+        assert params.layers[1][0, 0, 0] == params.layers[0].size
+
+    def test_constructor_copies_its_inputs(self):
+        theta, omega = np.zeros((1, 2, 2)), np.array([1.0])
+        params = popgcn.ModelParams([theta], omega)
+        assert not np.shares_memory(params.layers[0], theta)
+        assert not np.shares_memory(params.omega, omega)
+
+    def test_copy_views_its_own_buffers(self):
+        params = popgcn.init_params(5, (4,), 3, 2, np.random.default_rng(3))
+        clone = params.copy()
+        assert not np.shares_memory(clone.filters, params.filters)
+        assert not np.shares_memory(clone.omega, params.omega)
+        assert all(np.shares_memory(w, clone.filters) for w in clone.layers)
+        assert [w.shape for w in clone.layers] == \
+            [w.shape for w in params.layers]
+        assert np.array_equal(clone.filters, params.filters)
+
 
 # a layer that narrows, one that widens, one that keeps its width
 WIDTHS = [(6, 2), (2, 6), (4, 4)]
@@ -538,6 +565,24 @@ class TestGradients:
         assert np.array_equal(g_train.omega, g_eval.omega)
         for gt, ge in zip(g_train.layers, g_eval.layers):
             assert np.array_equal(gt, ge)
+
+    def test_gradients_take_the_parameter_layout(self):
+        ds = quick_dataset()
+        props = popgcn.build_propagation_matrices(ds)
+        params = popgcn.init_params(ds.n_features, (6, 4), ds.n_classes,
+                                    len(props), np.random.default_rng(11))
+        mask = np.arange(ds.n_nodes)
+        trace = popgcn.model_forward(props, ds.features, params)
+        grads = popgcn.compute_gradients(
+            trace, ds.labels, mask, popgcn.class_weights(ds.labels, mask),
+            1e-3, params)
+        assert isinstance(grads, popgcn.ModelParams)
+        assert grads.filters.shape == params.filters.shape
+        assert not np.shares_memory(grads.filters, params.filters)
+        assert all(np.shares_memory(g, grads.filters) for g in grads.layers)
+        assert [g.shape for g in grads.layers] == \
+            [w.shape for w in params.layers]
+        assert grads.omega.shape == params.omega.shape
 
     def test_trace_param_mismatch_rejected(self):
         ds = quick_dataset()

@@ -152,6 +152,23 @@ class TestAdam:
             expected -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
             assert np.array_equal(param, expected)
 
+    def test_flat_update_matches_per_piece_updates_bit_for_bit(self):
+        # Adam is elementwise, so one step on the concatenation equals a step
+        # on each piece under its own key, as train_model relies on
+        rng = np.random.default_rng(22)
+        shapes = [(2, 20, 16), (2, 16, 3), (2,)]
+        pieces = [rng.standard_normal(shape) for shape in shapes]
+        flat = np.concatenate([piece.ravel() for piece in pieces])
+        whole, apart = popgcn.Adam(0.01), popgcn.Adam(0.01)
+        for _ in range(50):
+            grads = [rng.standard_normal(shape) for shape in shapes]
+            whole.update("all", flat, np.concatenate(
+                [grad.ravel() for grad in grads]))
+            for i, (piece, grad) in enumerate(zip(pieces, grads)):
+                apart.update(("piece", i), piece, grad)
+            assert np.array_equal(flat, np.concatenate(
+                [piece.ravel() for piece in pieces]))
+
 
 class TestMetrics:
     def test_accuracy_hand_case(self):
@@ -244,6 +261,27 @@ class TestTrainModel:
         for omega in omegas[:5]:
             assert omega == [1.0 / m] * m
         assert any(omega != [1.0 / m] * m for omega in omegas[5:])
+
+    def test_one_filter_update_per_epoch_plus_omega_in_phase_two(
+            self, monkeypatch):
+        ds = quick_dataset()
+        props = popgcn.build_propagation_matrices(ds)
+        config = quick_config(hidden_dims=(6, 4), phase1_epochs=5,
+                              max_total_epochs=12)
+        sizes = []
+        real = popgcn.Adam.update
+
+        def spy(self, key, param, grad):
+            sizes.append(param.size)
+            return real(self, key, param, grad)
+
+        monkeypatch.setattr(popgcn.Adam, "update", spy)
+        model = popgcn.train_model(ds, props, config, seed=4)
+        n_filters = sum(w.size for w in model.params.layers)
+        m = len(props)
+        assert model.stopped_epoch > config.phase1_epochs
+        assert sizes == [n_filters] * config.phase1_epochs + \
+            [n_filters, m] * (model.stopped_epoch - config.phase1_epochs)
 
     def test_best_epoch_is_first_validation_minimum(self):
         ds = quick_dataset()
