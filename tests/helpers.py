@@ -19,3 +19,13 @@ def quick_dataset(n_nodes=36, n_features=8, seed=11, **overrides) -> popgcn.Data
                     noise_elements=("noise",), seed=seed)
     settings.update(overrides)
     return popgcn.generate_synthetic(popgcn.SynthConfig(**settings))
+
+
+def strip_wall_clock(payload):
+    """A report payload with every ``wall_clock_sec`` removed."""
+    if isinstance(payload, dict):
+        return {key: strip_wall_clock(value) for key, value in payload.items()
+                if key != "wall_clock_sec"}
+    if isinstance(payload, list):
+        return [strip_wall_clock(item) for item in payload]
+    return payload

@@ -43,7 +43,7 @@ def _forward_counts(folds, config):
     return sum(stopped) + len(stopped) - full, full
 
 
-def test_traced_run_counts_one_span_per_call():
+def test_traced_run_counts_one_span_per_call(serial_folds):
     # a model signature change that mislabels spans (e.g. training read from
     # the wrong argument) or a layer loop that runs per branch shows here
     import popgcn
@@ -69,7 +69,7 @@ def test_traced_run_counts_one_span_per_call():
 
 
 @pytest.mark.parametrize("kind", ["linear", "dense_nn"])
-def test_traced_baseline_counts_one_layer_span_per_layer(kind):
+def test_traced_baseline_counts_one_layer_span_per_layer(kind, serial_folds):
     # the "no graph" operator skips its product inside gc_layer_forward, so
     # model.layer still counts every layer of every baseline forward
     import popgcn

@@ -18,7 +18,7 @@ from popgcn.cli import (ConfigError, RunConfig, _default_subsets,
                         ablate_graph_subsets, gradcheck_instances,
                         load_run_config, main, parse_run_config,
                         resolve_edge_rules)
-from helpers import quick_dataset
+from helpers import quick_dataset, strip_wall_clock
 
 SYNTH_RECIPE = {
     "n_nodes": 36, "n_features": 8, "n_classes": 3, "class_separation": 2.0,
@@ -38,15 +38,6 @@ def write_config(tmp_path, name="config.json", **extra):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return str(path)
-
-
-def strip_wall_clock(payload):
-    if isinstance(payload, dict):
-        return {key: strip_wall_clock(value) for key, value in payload.items()
-                if key != "wall_clock_sec"}
-    if isinstance(payload, list):
-        return [strip_wall_clock(item) for item in payload]
-    return payload
 
 
 class TestParseRunConfig:
@@ -717,7 +708,8 @@ class TestCompareCommand:
         (["--subsets", "informative,,noise"], {}),
     ])
     def test_unknown_subset_fails_before_training(self, tmp_path, capsys,
-                                                  monkeypatch, flag, extra):
+                                                  monkeypatch, flag, extra,
+                                                  serial_folds):
         calls = []
         original = popgcn.train.train_model
 
@@ -756,7 +748,7 @@ class TestCompareCommand:
     ])
     def test_repeated_entry_fails_before_training(self, tmp_path, capsys,
                                                   monkeypatch, flag, extra,
-                                                  line):
+                                                  line, serial_folds):
         calls = []
         monkeypatch.setattr(popgcn.train, "train_model",
                             lambda *args, **kwargs: calls.append(1))
@@ -767,7 +759,8 @@ class TestCompareCommand:
         assert calls == []
 
     def test_affinities_averaged_once_before_training(self, tmp_path, capsys,
-                                                      monkeypatch):
+                                                      monkeypatch,
+                                                      serial_folds):
         # the affinities are averaged right after the build, so that only
         # the operators stay alive while models train
         trained, averaged_at = [], []

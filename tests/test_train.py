@@ -1,6 +1,12 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
 import sys
+import threading
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +14,7 @@ import pytest
 import popgcn
 from popgcn import train as train_mod
 from popgcn.train import TrainingError, _stratified_holdout
-from helpers import quick_config, quick_dataset
+from helpers import quick_config, quick_dataset, strip_wall_clock
 
 
 class TestTrainConfig:
@@ -578,7 +584,8 @@ class TestRunCV:
         with pytest.raises(ValueError, match="1 propagation matrices for 2"):
             popgcn.run_cv(ds, quick_config(), props[:1])
 
-    def test_accuracy_scored_only_by_evaluate(self, monkeypatch):
+    def test_accuracy_scored_only_by_evaluate(self, monkeypatch,
+                                              serial_folds):
         # training keeps no per-epoch record, so it never scores accuracy;
         # evaluate scores the test and the training nodes of each fold
         callers = []
@@ -593,7 +600,8 @@ class TestRunCV:
         popgcn.run_cv(quick_dataset(), config)
         assert callers == ["evaluate"] * (2 * config.folds)
 
-    def test_one_forward_per_epoch_plus_one_per_fold(self, monkeypatch):
+    def test_one_forward_per_epoch_plus_one_per_fold(self, monkeypatch,
+                                                     serial_folds):
         # the fold's opening forward, then one per epoch; evaluate scores the
         # probabilities that chose the checkpoint and runs none
         callers, per_fold = [], []
@@ -624,3 +632,189 @@ class TestRunCV:
         popgcn.run_cv(ds, config)
         assert config == quick_config()
         assert dataclasses.asdict(config) == dataclasses.asdict(quick_config())
+
+
+class TestFoldWorkers:
+    """The rule that gives the CPUs either to BLAS threads or to folds."""
+
+    @pytest.fixture
+    def host(self, monkeypatch):
+        """A main process of one thread that may fork, on a host with
+        ``cpus`` CPUs and OpenBLAS on ``threads``."""
+        def make(cpus, threads):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)))
+            monkeypatch.setattr(train_mod, "_blas_threads", lambda: threads)
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                lambda: ["fork", "spawn", "forkserver"])
+            monkeypatch.setattr(multiprocessing, "current_process",
+                                lambda: types.SimpleNamespace(daemon=False))
+            monkeypatch.setattr(threading, "active_count", lambda: 1)
+        return make
+
+    @pytest.mark.parametrize("cpus, threads, folds, workers", [
+        (8, 1, 3, 3),    # capped at the folds
+        (8, 1, 10, 8),   # capped at the CPUs
+        (8, 2, 10, 4),   # capped at the CPUs per BLAS thread
+        (8, 3, 10, 2),
+        (2, 1, 10, 2),   # 2 CPUs, BLAS pinned to one thread
+        (2, 2, 10, 1),   # an unpinned OpenBLAS already uses every CPU
+        (2, 4, 10, 1),   # more BLAS threads than CPUs
+        (1, 1, 10, 1),
+    ])
+    def test_cpus_go_to_blas_threads_or_to_folds(self, host, cpus, threads,
+                                                 folds, workers):
+        host(cpus, threads)
+        assert train_mod._fold_workers(folds) == workers
+
+    def test_no_openblas_runs_serially(self, host):
+        host(8, None)
+        assert train_mod._fold_workers(10) == 1
+
+    def test_daemonic_process_runs_serially(self, host, monkeypatch):
+        # a daemonic process may not start children
+        host(8, 1)
+        monkeypatch.setattr(multiprocessing, "current_process",
+                            lambda: types.SimpleNamespace(daemon=True))
+        assert train_mod._fold_workers(10) == 1
+
+    def test_no_fork_runs_serially(self, host, monkeypatch):
+        host(8, 1)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert train_mod._fold_workers(10) == 1
+
+    def test_other_threads_run_serially(self, host, monkeypatch):
+        host(8, 1)
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        assert train_mod._fold_workers(10) == 1
+
+    def test_probe_reads_the_loaded_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in str(blas.get("name")).lower():
+            pytest.skip(f"NumPy uses {blas.get('name')}, not OpenBLAS")
+        assert _run_python(
+            "import popgcn.train; print(popgcn.train._blas_threads())"
+        ).stdout.strip() == "1"
+
+
+SRC = Path(popgcn.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
+
+# Runs folds with the worker count of argv[1] and records the pid of every
+# train_model call in argv[2]/pids. With argv[3] "report" it writes a run_cv
+# report and runs compare on the config argv[4]; with "exit" or "raise" a
+# fold worker dies or raises and cv runs on argv[4]; with "daemon" run_cv
+# runs inside a daemonic pool worker on a host whose rule gives 2 workers.
+FORKED_RUN = """
+import json, multiprocessing, os, sys
+import popgcn.cli
+import popgcn.train as train
+from helpers import quick_config, quick_dataset
+
+workers, out, mode, config = sys.argv[1:]
+parent = os.getpid()
+real_train = train.train_model
+
+
+def recorded(*args, **kwargs):
+    with open(os.path.join(out, "pids"), "a") as handle:
+        handle.write(f"{os.getpid()}\\n")
+    if os.getpid() != parent and mode == "exit":
+        os._exit(1)
+    if os.getpid() != parent and mode == "raise":
+        raise train.TrainingError("non-finite training loss at epoch 3")
+    return real_train(*args, **kwargs)
+
+
+def run_cv():
+    return popgcn.run_cv(quick_dataset(), quick_config()).to_dict()
+
+
+train.train_model = recorded
+if mode == "daemon":
+    train._blas_threads = lambda: 1
+    os.sched_getaffinity = lambda pid: {0, 1}
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        report = pool.apply(run_cv)
+    sys.exit(0 if report["mean_acc"] > 0 else 1)
+train._fold_workers = lambda n_folds: min(int(workers), n_folds)
+if mode == "report":
+    with open(os.path.join(out, "cv.json"), "w") as handle:
+        json.dump(run_cv(), handle)
+    sys.exit(popgcn.cli.main(["compare", "--config", config,
+                              "--out", os.path.join(out, "compare.json")]))
+sys.exit(popgcn.cli.main(["cv", "--config", config]))
+"""
+
+
+def _run_python(code, *args):
+    """``code`` in a fresh interpreter with OpenBLAS on one thread, so that
+    a fork sees no BLAS thread, and with every warning an error."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}
+    return subprocess.run([sys.executable, "-W", "error", "-c", code,
+                           *map(str, args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def _forked_run(tmp_path, workers, mode):
+    out = tmp_path / f"{mode}{workers}"
+    out.mkdir()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": {"synth": {"n_nodes": 36, "n_features": 8, "n_classes": 3,
+                           "class_separation": 2.0,
+                           "informative_elements": [["informative", 0.9]],
+                           "noise_elements": ["noise"], "seed": 11}},
+        "train": {"hidden_dims": [8], "phase1_epochs": 5,
+                  "max_total_epochs": 12, "patience": 5, "folds": 3}}))
+    done = _run_python(FORKED_RUN, workers, out, mode, config)
+    pids = [int(line) for line in (out / "pids").read_text().split()]
+    return done, out, pids
+
+
+def _without_wall_clock(path):
+    return json.dumps(strip_wall_clock(json.loads(path.read_text())),
+                      sort_keys=True)
+
+
+class TestForkedFolds:
+    def test_reports_same_in_this_process_and_in_workers(self, tmp_path):
+        runs = {}
+        for workers in (1, 2):
+            done, out, pids = _forked_run(tmp_path, workers, "report")
+            assert done.returncode == 0, done.stderr
+            runs[workers] = out, pids
+        (serial, serial_pids), (forked, forked_pids) = runs[1], runs[2]
+        for name in ("cv.json", "compare.json"):
+            assert _without_wall_clock(serial / name) == \
+                _without_wall_clock(forked / name)
+        # one process trained every fold serially; with two workers no fold
+        # trained in the process that started them
+        assert len(set(serial_pids)) == 1
+        assert len(forked_pids) == len(serial_pids)
+        assert not set(forked_pids) & set(serial_pids)
+        assert len(set(forked_pids)) > 1
+
+    def test_killed_worker_is_one_error_line(self, tmp_path):
+        done, _, pids = _forked_run(tmp_path, 2, "exit")
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "error: a fold worker exited without a result, for example "
+            "because it was killed"]
+        assert pids
+
+    def test_training_error_in_worker_reaches_main_unchanged(self, tmp_path):
+        done, _, pids = _forked_run(tmp_path, 2, "raise")
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "error: non-finite training loss at epoch 3"]
+        assert pids
+
+    def test_daemonic_worker_trains_its_folds_itself(self, tmp_path):
+        # a forked pool would fail: daemonic processes may not have children
+        done, _, pids = _forked_run(tmp_path, 2, "daemon")
+        assert done.returncode == 0, done.stderr
+        assert len(set(pids)) == 1 and len(pids) == quick_config().folds
