@@ -95,8 +95,13 @@ def _parse_dataclass(path: str, raw, cls, skip=()):
     for field in allowed:
         if field.default is MISSING and field.name not in raw:
             raise ConfigError(f"{path}.{field.name}", "missing")
+    return _checked(path, cls, **raw)
+
+
+def _checked(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a refusal names ``path`` and its field."""
     try:
-        return cls(**raw)
+        return build(*args, **kwargs)
     except ValueError as err:
         name = getattr(err, "field", None)
         raise ConfigError(f"{path}.{name}" if name else path,
@@ -249,35 +254,28 @@ def _default_subsets(dataset: Dataset) -> list[list[str]]:
     return singletons
 
 
-def _write_report(report: dict, out_path: str | None) -> str | None:
+def _write_report(report: dict, out_path: str | None) -> str:
+    """Print or write ``report``; the summary line's `` -> path`` tail."""
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path is None:
         print(text)
-        return None
+        return ""
     path = Path(out_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
-    return str(path)
+    return f" -> {path}"
 
 
 def _set_up(args) -> tuple[RunConfig, Dataset, TrainConfig]:
-    """Load ``--config``, fold in the --seed, --folds, --out, --baselines and
-    --subsets flags, materialize the dataset and resolve its edge rules into
-    the train config."""
+    """Load ``--config`` with the flags folded in, materialize the dataset
+    and resolve its edge rules into the train config."""
     run = load_run_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        try:
-            run.train = replace(run.train, seed=args.seed)
-        except ValueError as err:
-            raise ConfigError("train.seed", str(err)) from None
-        if run.synth is not None:
-            run.synth = replace(run.synth, seed=args.seed)
-    if getattr(args, "folds", None) is not None:
-        try:
-            run.train = replace(run.train, folds=args.folds)
-        except ValueError as err:
-            raise ConfigError("train.folds", str(err)) from None
-    if getattr(args, "out", None) is not None:
+    given = {name: value for name in ("seed", "folds")
+             if (value := getattr(args, name, None)) is not None}
+    run.train = _checked("train", replace, run.train, **given)
+    if run.synth is not None and "seed" in given:  # refused above if < 0
+        run.synth = replace(run.synth, seed=given["seed"])
+    if args.out is not None:
         run.out = _path("--out", args.out)
     if getattr(args, "baselines", None) is not None:
         run.baselines = _check_baselines("--baselines",
@@ -322,9 +320,8 @@ def cmd_graph_stats(args) -> int:
     affinities = build_affinity_matrices(dataset, config.edge_rules)
     report = {"n_nodes": dataset.n_nodes,
               "graphs": [graph_statistics(a) for a in affinities]}
-    written = _write_report(report, run.out)
-    if written:
-        print(f"graph-stats: {len(affinities)} graphs -> {written}")
+    if tail := _write_report(report, run.out):
+        print(f"graph-stats: {len(affinities)} graphs{tail}")
     return 0
 
 
@@ -342,8 +339,7 @@ def _cv_report(dataset: Dataset, config: TrainConfig, props=None) -> dict:
 def cmd_cv(args) -> int:
     run, dataset, config = _set_up(args)
     report = _cv_report(dataset, config)
-    written = _write_report(report, run.out)
-    tail = f" -> {written}" if written else ""
+    tail = _write_report(report, run.out)
     print(f"cv: mean_acc={report['mean_acc']:.4f} "
           f"std_acc={report['std_acc']:.4f} folds={config.folds}{tail}",
           file=sys.stderr)
@@ -372,8 +368,7 @@ def cmd_compare(args) -> int:
         "subsets": ablate_graph_subsets(dataset, config, subsets, props,
                                         proposed),
     }
-    written = _write_report(report, run.out)
-    tail = f" -> {written}" if written else ""
+    tail = _write_report(report, run.out)
     ranked = {name: entry["mean_acc"]
               for name, entry in report["baselines"].items()}
     ranked["proposed"] = proposed["mean_acc"]
@@ -447,26 +442,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="noise element, repeatable (default noise)")
     synth.set_defaults(func=cmd_synth)
 
-    stats = sub.add_parser("graph-stats",
+    run = argparse.ArgumentParser(add_help=False)  # of the run commands
+    run.add_argument("--config", required=True)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--out")
+
+    stats = sub.add_parser("graph-stats", parents=[run],
                            help="per-element graph statistics as JSON")
-    stats.add_argument("--config", required=True)
-    stats.add_argument("--seed", type=int)
-    stats.add_argument("--out")
     stats.set_defaults(func=cmd_graph_stats)
 
-    cv = sub.add_parser("cv", help="stratified cross-validation report")
-    cv.add_argument("--config", required=True)
-    cv.add_argument("--seed", type=int)
+    cv = sub.add_parser("cv", parents=[run],
+                        help="stratified cross-validation report")
     cv.add_argument("--folds", type=int)
-    cv.add_argument("--out")
     cv.set_defaults(func=cmd_cv)
 
     compare = sub.add_parser(
-        "compare", help="model vs baselines plus graph-subset ablations")
-    compare.add_argument("--config", required=True)
-    compare.add_argument("--seed", type=int)
+        "compare", parents=[run],
+        help="model vs baselines plus graph-subset ablations")
     compare.add_argument("--folds", type=int)
-    compare.add_argument("--out")
     compare.add_argument("--baselines", metavar="A,B,...",
                          help="comma list from linear,dense_nn,avg_gcn "
                               "(default all)")
@@ -497,6 +490,9 @@ def main(argv=None) -> int:
         detail = f": {err}" if str(err) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -203,35 +203,36 @@ class SynthConfig:
     def __post_init__(self):
         _check_fields(self)
         if self.n_classes < 2:
-            raise DataError("n_classes must be at least 2")
+            raise DataError("n_classes must be at least 2", "n_classes")
         if self.n_nodes < self.n_classes:
-            raise DataError("need at least one node per class")
+            raise DataError("need at least one node per class", "n_nodes")
         if self.n_features < self.n_classes:
-            raise DataError(
-                "class mean placement needs n_features >= n_classes")
+            raise DataError("class mean placement needs n_features >= "
+                            "n_classes", "n_features")
         # NumPy cannot index an array with more entries than intp can count
         limit = np.iinfo(np.intp).max
         nodes, dims = self.n_nodes, self.n_features
         if nodes * nodes > limit:
             raise DataError(f"n_nodes {nodes} makes an N x N graph of more "
-                            f"than {limit} entries")
+                            f"than {limit} entries", "n_nodes")
         if nodes * dims > limit:
             raise DataError(f"n_nodes x n_features = {nodes} x {dims} makes a "
-                            f"feature matrix of more than {limit} entries")
+                            f"feature matrix of more than {limit} entries",
+                            "n_features")
         if self.class_separation < 0:
-            raise DataError("class_separation must be nonnegative")
+            raise DataError("class_separation must be nonnegative", "class_separation")
         if not self.informative_elements and not self.noise_elements:
             raise DataError("need at least one demographic element")
-        for name, corr in self.informative_elements:
+        for i, (name, corr) in enumerate(self.informative_elements):
             if not 0.0 <= corr <= 1.0:
-                raise DataError(
-                    f"class correlation of {name!r} must be in [0, 1], got {corr}")
+                raise DataError(f"class correlation of {name!r} must be in [0, 1], "
+                                f"got {corr}", f"informative_elements[{i}]")
         names = ([n for n, _ in self.informative_elements]
                  + list(self.noise_elements))
         if len(set(names)) != len(names):
             raise DataError("element names must be unique")
         if self.seed < 0:
-            raise DataError("seed must be nonnegative")
+            raise DataError("seed must be nonnegative", "seed")
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:

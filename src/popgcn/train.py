@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, _check_fields, stratified_kfold
+from .data import DataError, Dataset, _check_fields, stratified_kfold
 from .graph import EdgeRule, build_propagation_matrices, rules_or_defaults
 from .model import (ModelParams, class_weights, compute_gradients, init_params,
                     model_forward, weighted_cross_entropy)
@@ -50,26 +50,27 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden_dims must be positive")
+        for i, h in enumerate(self.hidden_dims):
+            if h < 1:
+                raise DataError("hidden_dims must be positive", f"hidden_dims[{i}]")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+            raise DataError("dropout_rate must be in [0, 1)", "dropout_rate")
         if self.l2_coeff < 0:
-            raise ValueError("l2_coeff must be nonnegative")
+            raise DataError("l2_coeff must be nonnegative", "l2_coeff")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise DataError("learning_rate must be positive", "learning_rate")
         if not 0 <= self.phase1_epochs < self.max_total_epochs:
-            raise ValueError(
-                "need 0 <= phase1_epochs < max_total_epochs, got "
-                f"{self.phase1_epochs} and {self.max_total_epochs}")
+            raise DataError("need 0 <= phase1_epochs < max_total_epochs, got "
+                            f"{self.phase1_epochs} and {self.max_total_epochs}",
+                            "phase1_epochs")
         if self.patience < 1:
-            raise ValueError("patience must be at least 1")
+            raise DataError("patience must be at least 1", "patience")
         if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in (0, 1)")
+            raise DataError("val_fraction must be in (0, 1)", "val_fraction")
         if self.folds < 2:
-            raise ValueError("folds must be at least 2")
+            raise DataError("folds must be at least 2", "folds")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise DataError("seed must be nonnegative", "seed")
 
 
 class Adam:
@@ -384,7 +385,22 @@ def _fold_entry(dataset: Dataset, props, config: TrainConfig, fold,
 _worker_inputs = None  # (dataset, props, config, jobs) in a fold worker
 
 
+def _interrupt_once(signum, frame):
+    """SIGINT handler while fold workers run: raise ``KeyboardInterrupt``
+    once, then ignore SIGINT so that no second one cuts their ending short."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    raise KeyboardInterrupt
+
+
 def _hold_worker_inputs(*inputs) -> None:
+    """Pool initializer: keep the inputs. Where SIGINT would raise
+    ``KeyboardInterrupt``, it ends this worker at once instead; it is
+    blocked from the fork until then."""
+    import signal
+    if signal.getsignal(signal.SIGINT) is _interrupt_once:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     global _worker_inputs
     _worker_inputs = inputs
 
@@ -394,19 +410,32 @@ def _worker_fold_entry(index: int) -> dict:
     return _fold_entry(dataset, props, config, *jobs[index])
 
 
+def _result(future):
+    """``future.result()``, waited for in steps of 0.2 s: a SIGINT that
+    lands on another thread, or just before a wait begins, does not cut the
+    wait short, and Python raises it at the next step."""
+    while True:
+        try:
+            return future.result(timeout=0.2)
+        except TimeoutError:
+            pass
+
+
 def _map_folds(dataset: Dataset, props, config: TrainConfig, jobs) -> list:
     """``_fold_entry`` of each (fold, seed) of ``jobs``, in their order.
 
     With more than one worker the folds train in forked processes. Fork
     hands the inputs over without pickling them: the workers share the
     dataset and the operators copy-on-write, and only the entries travel
-    back.
+    back. An interrupt of this process ends the workers too: leaving the
+    pool would otherwise wait for their running and queued folds.
     """
     workers = _fold_workers(len(jobs))
     if workers == 1:
         return [_fold_entry(dataset, props, config, fold, fold_seed)
                 for fold, fold_seed in jobs]
     import multiprocessing
+    import signal
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     # Hand the heap's free pages back first. Without it the parent's heap
@@ -415,16 +444,39 @@ def _map_folds(dataset: Dataset, props, config: TrainConfig, jobs) -> list:
     trim = getattr(ctypes.CDLL(None), "malloc_trim", None)  # glibc only
     if trim is not None:
         trim(0)
-    with ProcessPoolExecutor(workers,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_hold_worker_inputs,
-                             initargs=(dataset, props, config, jobs)) as pool:
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_hold_worker_inputs,
+                               initargs=(dataset, props, config, jobs))
+    # SIGINT waits until the workers are forked, at the first submit
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    raising = signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    if raising:
+        signal.signal(signal.SIGINT, _interrupt_once)
+    try:
+        # submit, not map: on an interrupt map cancels the queued folds
+        # while the pool marks them failed for its dead workers, and the
+        # pool's thread then dies with a traceback
+        futures = [pool.submit(_worker_fold_entry, i)
+                   for i in range(len(jobs))]
+        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        return [_result(future) for future in futures]
+    except BrokenProcessPool as err:
+        raise TrainingError(
+            "a fold worker exited without a result, for example "
+            "because it was killed") from err
+    except KeyboardInterrupt:
+        # no public call ends a pool's workers before Python 3.14
+        for process in list(pool._processes.values()):
+            process.terminate()
+        raise
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
         try:
-            return list(pool.map(_worker_fold_entry, range(len(jobs))))
-        except BrokenProcessPool as err:
-            raise TrainingError(
-                "a fold worker exited without a result, for example "
-                "because it was killed") from err
+            pool.shutdown(cancel_futures=True)
+        finally:
+            if raising:
+                signal.signal(signal.SIGINT, signal.default_int_handler)
 
 
 def _cross_validate(dataset: Dataset, config: TrainConfig,

@@ -70,7 +70,8 @@ class TestParseRunConfig:
     def test_invalid_train_value_reported(self):
         raw = {"data": {"synth": dict(SYNTH_RECIPE)},
                "train": {"dropout_rate": 1.5}}
-        with pytest.raises(ConfigError, match="train: dropout_rate"):
+        with pytest.raises(ConfigError,
+                           match=r"^train\.dropout_rate: dropout_rate"):
             parse_run_config(raw)
 
     def test_edge_rule_validation(self):
@@ -127,8 +128,12 @@ class TestParseRunConfig:
      "data.synth.informative_elements[0]"),
     ({"data": {"synth": {**SYNTH_RECIPE, "n_nodes": True}}},
      "data.synth.n_nodes"),
-    ({"train": {**QUICK_TRAIN, "seed": -1}}, "train"),
-    ({"data": {"synth": {**SYNTH_RECIPE, "seed": -1}}}, "data.synth"),
+    # a range refusal names its field; these rows keep the ids they had
+    # when it named only the section
+    pytest.param({"train": {**QUICK_TRAIN, "seed": -1}}, "train.seed",
+                 id="extra12-train"),
+    pytest.param({"data": {"synth": {**SYNTH_RECIPE, "seed": -1}}},
+                 "data.synth.seed", id="extra13-data.synth"),
     ({"train": {**QUICK_TRAIN, "learning_rate": math.nan}},
      "train.learning_rate"),
     ({"train": {**QUICK_TRAIN, "l2_coeff": math.inf}}, "train.l2_coeff"),
@@ -157,15 +162,19 @@ class TestParseRunConfig:
                      {"element": "noise", "beta": 0.5}]},
      "edge_rules[1].element"),
     # integers outside int64 in float fields: the range checks see them
-    ({"train": {**QUICK_TRAIN, "learning_rate": -2 ** 63 - 1}}, "train"),
-    ({"data": {"synth": {**SYNTH_RECIPE, "class_separation": -2 ** 63 - 1}}},
-     "data.synth"),
+    pytest.param({"train": {**QUICK_TRAIN, "learning_rate": -2 ** 63 - 1}},
+                 "train.learning_rate", id="extra29-train"),
+    pytest.param({"data": {"synth": {**SYNTH_RECIPE,
+                                     "class_separation": -2 ** 63 - 1}}},
+                 "data.synth.class_separation", id="extra30-data.synth"),
     # sizes whose N x N graph or N x d features no array can hold
-    ({"data": {"synth": {**SYNTH_RECIPE, "n_nodes": 10 ** 300}}}, "data.synth"),
-    ({"data": {"synth": {**SYNTH_RECIPE, "n_nodes": 4_000_000_000}}},
-     "data.synth"),
-    ({"data": {"synth": {**SYNTH_RECIPE, "n_features": 2 ** 62}}},
-     "data.synth"),
+    pytest.param({"data": {"synth": {**SYNTH_RECIPE, "n_nodes": 10 ** 300}}},
+                 "data.synth.n_nodes", id="extra31-data.synth"),
+    pytest.param({"data": {"synth": {**SYNTH_RECIPE,
+                                     "n_nodes": 4_000_000_000}}},
+                 "data.synth.n_nodes", id="extra32-data.synth"),
+    pytest.param({"data": {"synth": {**SYNTH_RECIPE, "n_features": 2 ** 62}}},
+                 "data.synth.n_features", id="extra33-data.synth"),
     # empty paths are refused before the dataset is built
     ({"out": ""}, "out"),
     ({"data": {"features": "", "labels": "l.csv", "demographics": "d.csv"}},
@@ -211,27 +220,27 @@ def test_empty_out_flag_refused(tmp_path, capsys, monkeypatch, argv):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
 
+# each setting refused once from its flag and once from the config file,
+# with the same line; the ids name a row by its first two values
 @pytest.mark.parametrize("command", ["cv", "compare"])
-@pytest.mark.parametrize("flag, train", [
-    (["--folds", "5"], QUICK_TRAIN),
-    ([], {**QUICK_TRAIN, "folds": 5}),
-])
+@pytest.mark.parametrize("flag, train, line", [
+    (["--folds", "5"], QUICK_TRAIN,
+     "train.folds: class 0 has 4 members, fewer than the 5 folds"),
+    ([], {**QUICK_TRAIN, "folds": 5},
+     "train.folds: class 0 has 4 members, fewer than the 5 folds"),
+    (["--folds", "1"], QUICK_TRAIN, "train.folds: folds must be at least 2"),
+    ([], {**QUICK_TRAIN, "folds": 1}, "train.folds: folds must be at least 2"),
+    (["--seed", "-1"], QUICK_TRAIN, "train.seed: seed must be nonnegative"),
+    ([], {**QUICK_TRAIN, "seed": -1}, "train.seed: seed must be nonnegative"),
+], ids=[f"flag{i}-train{i}" for i in range(6)])
 def test_too_many_folds_named_through_main(tmp_path, capsys, command, flag,
-                                           train):
+                                           train, line):
     # 12 nodes in 3 classes: 4 members each, too few for 5 folds
     config = write_config(tmp_path, train=train,
                           data={"synth": {**SYNTH_RECIPE, "n_nodes": 12}})
     assert main([command, "--config", config, *flag]) == 1
     assert capsys.readouterr().err.strip().splitlines() == [
-        "error: config: train.folds: class 0 has 4 members, "
-        "fewer than the 5 folds"]
-
-
-def test_negative_seed_flag_named_through_main(tmp_path, capsys):
-    assert main(["cv", "--config", write_config(tmp_path),
-                 "--seed", "-1"]) == 1
-    assert capsys.readouterr().err.strip().splitlines() == [
-        "error: config: train.seed: seed must be nonnegative"]
+        f"error: config: {line}"]
 
 
 # (keys down to the object that repeats a key, the key, its second value,
@@ -342,6 +351,9 @@ def test_any_json_anywhere_parses_or_is_config_error(value, key):
 # a valid instance of each config dataclass, as constructor arguments
 CONFIG_CLASSES = [(popgcn.TrainConfig, {}), (popgcn.SynthConfig, {}),
                   (popgcn.EdgeRule, {"element": "age", "beta": 2.0})]
+# a rule between two fields names the one it bounds, not the one set
+BOUNDED_BY = {"max_total_epochs": {"phase1_epochs"},
+              "n_classes": {"n_nodes", "n_features"}}
 
 
 @settings(max_examples=30, deadline=None)
@@ -357,11 +369,12 @@ def test_any_json_in_any_field_from_python_builds_or_names_it(value):
             except ValueError as err:
                 named = getattr(err, "field", None)
                 if named is None:
-                    # a range or cross-field check, on a value of the
-                    # field's type
-                    assert not isinstance(value, (bool, dict, type(None)))
+                    # only the element-name rules involve no single field
+                    assert field.name in ("informative_elements",
+                                          "noise_elements")
                 else:
-                    assert named.startswith(field.name)
+                    assert (named.startswith(field.name)
+                            or named in BOUNDED_BY.get(field.name, ()))
 
 
 class TestEdgeRuleResolution:
@@ -442,7 +455,8 @@ class TestSynthCommand:
         assert main(["synth", "--out", str(out), *flags]) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith(f"error: config: synth: {message}")
+        field = message.split()[0]  # each message opens with its field
+        assert lines[0].startswith(f"error: config: synth.{field}: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, name", [

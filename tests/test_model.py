@@ -211,6 +211,11 @@ class TestLayerForward:
             popgcn.model_forward([identity_prop(2)], np.zeros((2, 3)), params)
         with pytest.raises(ValueError, match="chain"):
             popgcn.model_forward([identity_prop(3)], np.zeros((2, 4)), params)
+        # every operator is checked, not only the first
+        pair = popgcn.ModelParams([np.zeros((2, 4, 2))], np.ones(2))
+        with pytest.raises(ValueError, match="chain: prop 1 on 3 nodes"):
+            popgcn.model_forward([identity_prop(2), identity_prop(3)],
+                                 np.zeros((2, 4)), pair)
 
 
 class TestBranchForward:

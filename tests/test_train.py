@@ -2,9 +2,11 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import types
 from pathlib import Path
 
@@ -706,8 +708,12 @@ TESTS = Path(__file__).resolve().parent
 # report and runs compare on the config argv[4]; with "exit" or "raise" a
 # fold worker dies or raises and cv runs on argv[4]; with "daemon" run_cv
 # runs inside a daemonic pool worker on a host whose rule gives 2 workers.
+# With "group" or "parent" the first fold sends SIGINT to the process group
+# or to the process that runs cv, then sleeps as if it trained on; cv runs,
+# and with "parent" a bystander child is started first, and the exit code
+# is 99 if the interrupt ended it too.
 FORKED_RUN = """
-import json, multiprocessing, os, sys
+import json, multiprocessing, os, signal, subprocess, sys, time
 import popgcn.cli
 import popgcn.train as train
 from helpers import quick_config, quick_dataset
@@ -724,6 +730,12 @@ def recorded(*args, **kwargs):
         os._exit(1)
     if os.getpid() != parent and mode == "raise":
         raise train.TrainingError("non-finite training loss at epoch 3")
+    if mode in ("group", "parent"):
+        if mode == "group":
+            os.killpg(0, signal.SIGINT)
+        else:
+            os.kill(parent, signal.SIGINT)
+        time.sleep(60)
     return real_train(*args, **kwargs)
 
 
@@ -739,6 +751,14 @@ if mode == "daemon":
         report = pool.apply(run_cv)
     sys.exit(0 if report["mean_acc"] > 0 else 1)
 train._fold_workers = lambda n_folds: min(int(workers), n_folds)
+if mode == "parent":
+    bystander = subprocess.Popen([sys.executable, "-c",
+                                  "import time; time.sleep(60)"])
+    code = popgcn.cli.main(["cv", "--config", config])
+    spared = bystander.poll() is None
+    bystander.kill()
+    bystander.wait()
+    sys.exit(code if spared else 99)
 if mode == "report":
     with open(os.path.join(out, "cv.json"), "w") as handle:
         json.dump(run_cv(), handle)
@@ -750,13 +770,36 @@ sys.exit(popgcn.cli.main(["cv", "--config", config]))
 
 def _run_python(code, *args):
     """``code`` in a fresh interpreter with OpenBLAS on one thread, so that
-    a fork sees no BLAS thread, and with every warning an error."""
+    a fork sees no BLAS thread, and with every warning an error. It leads a
+    process group of its own, so a signal it sends to its group stays
+    there; the group id is ``.pid`` of the result."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}
-    return subprocess.run([sys.executable, "-W", "error", "-c", code,
-                           *map(str, args)],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    with subprocess.Popen([sys.executable, "-W", "error", "-c", code,
+                           *map(str, args)], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True) as process:
+        try:
+            stdout, stderr = process.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            raise
+    done = subprocess.CompletedProcess(process.args, process.returncode,
+                                       stdout, stderr)
+    done.pid = process.pid
+    return done
+
+
+def _group_ends(group, seconds=5.0):
+    """Whether no process of ``group`` is left within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(group, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    return False
 
 
 def _forked_run(tmp_path, workers, mode):
@@ -812,6 +855,28 @@ class TestForkedFolds:
         assert done.stderr.splitlines() == [
             "error: non-finite training loss at epoch 3"]
         assert pids
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("target", ["group", "parent"])
+    def test_interrupt_ends_every_process_with_one_line(self, tmp_path,
+                                                        workers, target):
+        # the interrupted fold would sleep for 60 s if it were left to run
+        started = time.monotonic()
+        done, _, pids = _forked_run(tmp_path, workers, target)
+        assert time.monotonic() - started < 30
+        assert done.returncode == 130
+        assert done.stderr.splitlines() == ["error: interrupted"]
+        assert _group_ends(done.pid)
+        assert pids
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # the forked path imports these on first use, so that the time of
+        # ``import popgcn`` does not grow with them
+        done = _run_python("import sys, popgcn; print(*sys.modules)")
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "popgcn.train" in loaded
+        assert not {"multiprocessing", "concurrent.futures"} & loaded
 
     def test_daemonic_worker_trains_its_folds_itself(self, tmp_path):
         # a forked pool would fail: daemonic processes may not have children
