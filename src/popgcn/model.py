@@ -220,13 +220,13 @@ def model_forward(props, features, params: ModelParams, dropout_rate: float = 0.
     if len(props) != params.n_branches:
         raise ValueError(
             f"{len(props)} propagation matrices for {params.n_branches} branches")
+    if features.ndim != 2 or features.shape[1] != params.layers[0].shape[1]:
+        raise ValueError(f"shapes do not chain: features {features.shape}, "
+                         f"first layer {params.layers[0].shape}")
     for m, prop in enumerate(props):
-        if (features.ndim != 2 or features.shape[0] != prop.n_nodes
-                or features.shape[1] != params.layers[0].shape[1]):
-            raise ValueError(
-                f"shapes do not chain: prop {m} on {prop.n_nodes} nodes, "
-                f"features {features.shape}, "
-                f"first layer {params.layers[0].shape}")
+        if prop.n_nodes != features.shape[0]:
+            raise ValueError(f"shapes do not chain: prop {m} on "
+                             f"{prop.n_nodes} nodes, features {features.shape}")
     masks, scale = [None] * params.n_layers, 1.0
     if training and dropout_rate > 0.0:
         if rng is None:

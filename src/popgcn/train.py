@@ -414,6 +414,7 @@ def _result(future):
     """``future.result()``, waited for in steps of 0.2 s: a SIGINT that
     lands on another thread, or just before a wait begins, does not cut the
     wait short, and Python raises it at the next step."""
+    from concurrent.futures import TimeoutError  # not the builtin before 3.11
     while True:
         try:
             return future.result(timeout=0.2)

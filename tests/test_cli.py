@@ -369,9 +369,11 @@ def test_any_json_in_any_field_from_python_builds_or_names_it(value):
             except ValueError as err:
                 named = getattr(err, "field", None)
                 if named is None:
-                    # only the element-name rules involve no single field
+                    # only the element-name rules involve no single
+                    # field, and they see values of the field's type
                     assert field.name in ("informative_elements",
                                           "noise_elements")
+                    assert not isinstance(value, (bool, dict, type(None)))
                 else:
                     assert (named.startswith(field.name)
                             or named in BOUNDED_BY.get(field.name, ()))

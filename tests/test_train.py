@@ -869,6 +869,22 @@ class TestForkedFolds:
         assert _group_ends(done.pid)
         assert pids
 
+    def test_result_waits_through_the_futures_timeout(self):
+        # before Python 3.11 a future's timeout is not the builtin one
+        from concurrent.futures import TimeoutError as FutureTimeout
+
+        class Slow:
+            waits = 0
+
+            def result(self, timeout):
+                self.waits += 1
+                if self.waits < 3:
+                    raise FutureTimeout
+                return "entry"
+
+        slow = Slow()
+        assert train_mod._result(slow) == "entry" and slow.waits == 3
+
     def test_import_leaves_the_process_pool_unloaded(self):
         # the forked path imports these on first use, so that the time of
         # ``import popgcn`` does not grow with them
