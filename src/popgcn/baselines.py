@@ -15,11 +15,9 @@ from __future__ import annotations
 from dataclasses import replace
 from enum import Enum
 
-import numpy as np
-
 from .data import Dataset
-from .graph import (AffinityMatrix, PropagationMatrix, build_affinity_matrices,
-                    normalize_affinity)
+from .graph import (AffinityMatrix, GraphError, PropagationMatrix,
+                    build_affinity_matrices, normalize_affinity)
 from .train import TrainConfig, _cross_validate
 
 
@@ -36,10 +34,33 @@ def identity_propagation(n_nodes: int) -> PropagationMatrix:
 
 
 def averaged_propagation(affinities) -> PropagationMatrix:
-    """Mean of the element affinity matrices, normalized once."""
-    mean_weights = np.mean([a.weights for a in affinities], axis=0)
+    """Mean of the element affinity matrices, normalized once. The sum
+    builds in one N x N buffer, in the order and with the bits of
+    ``np.mean(..., axis=0)``, without its (M, N, N) stack."""
+    if not affinities:
+        raise GraphError("need at least one affinity matrix to average")
+    total = affinities[0].weights.copy()
+    for affinity in affinities[1:]:
+        total += affinity.weights
+    total /= len(affinities)
     return normalize_affinity(
-        AffinityMatrix(weights=mean_weights, element_name="averaged"))
+        AffinityMatrix(weights=total, element_name="averaged"))
+
+
+def _baseline_run(dataset: Dataset, config: TrainConfig, kind: BaselineKind,
+                  averaged: PropagationMatrix | None = None):
+    """The (config, props) run that cross-validates ``kind``: see
+    ``run_baseline_cv``."""
+    if kind is BaselineKind.AVERAGED_GRAPH_GCN:
+        prop = averaged
+        if prop is None:
+            prop = averaged_propagation(
+                build_affinity_matrices(dataset, config.edge_rules))
+    else:
+        prop = identity_propagation(dataset.n_nodes)
+    if kind is BaselineKind.LINEAR:
+        config = replace(config, hidden_dims=(), dropout_rate=0.0)
+    return config, [prop]
 
 
 def run_baseline_cv(dataset: Dataset, config: TrainConfig, kind: BaselineKind,
@@ -51,14 +72,6 @@ def run_baseline_cv(dataset: Dataset, config: TrainConfig, kind: BaselineKind,
     defaults); it is built here when omitted. The result is the ``run_cv``
     report of the baseline's config and operator, with ``kind`` added.
     """
-    if kind is BaselineKind.AVERAGED_GRAPH_GCN:
-        prop = averaged
-        if prop is None:
-            prop = averaged_propagation(
-                build_affinity_matrices(dataset, config.edge_rules))
-    else:
-        prop = identity_propagation(dataset.n_nodes)
-    if kind is BaselineKind.LINEAR:
-        config = replace(config, hidden_dims=(), dropout_rate=0.0)
-    report = _cross_validate(dataset, config, [prop])
+    report, = _cross_validate(
+        dataset, [_baseline_run(dataset, config, kind, averaged)])
     return {"kind": kind.value, **report.to_dict()}

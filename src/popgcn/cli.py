@@ -16,14 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineKind, averaged_propagation, run_baseline_cv
+from .baselines import BaselineKind, _baseline_run, averaged_propagation
 from .data import (DataError, Dataset, SynthConfig, _typed,
                    generate_synthetic, load_dataset, save_dataset)
 from .graph import (EdgeRule, GraphError, build_affinity_matrices,
                     build_propagation_matrices, default_edge_rules,
                     graph_statistics, normalize_affinity, rules_or_defaults)
 from .model import finite_diff_check, init_params
-from .train import TrainConfig, TrainingError, run_cv
+from .train import TrainConfig, TrainingError, _cross_validate
 
 GRADCHECK_TOLERANCE = 1e-5
 
@@ -219,6 +219,19 @@ def _resolve_subsets(dataset: Dataset, rules, subsets) -> dict:
     return resolved
 
 
+def _subset_runs(config: TrainConfig, rules, props, resolved,
+                 skip_full: bool = True) -> dict:
+    """The (config, props) run of each subset of ``resolved``: ``config`` on
+    the subset's rules and their operators of ``props``. With
+    ``skip_full``, the subset of every rule in order is left out: its run
+    is that of ``config`` itself."""
+    full = list(range(len(rules)))
+    return {key: (replace(config, edge_rules=tuple(rules[i] for i in chosen)),
+                  [props[i] for i in chosen])
+            for key, chosen in resolved.items()
+            if not (skip_full and chosen == full)}
+
+
 def ablate_graph_subsets(dataset: Dataset, config: TrainConfig, subsets,
                          props=None, full_report=None) -> dict:
     """Cross-validate the model restricted to each requested graph subset.
@@ -235,16 +248,11 @@ def ablate_graph_subsets(dataset: Dataset, config: TrainConfig, subsets,
     resolved = _resolve_subsets(dataset, rules, subsets)
     if props is None:
         props = build_propagation_matrices(dataset, rules)
-    reports = {}
-    for key, chosen in resolved.items():
-        if chosen == list(range(len(rules))) and full_report is not None:
-            reports[key] = full_report
-        else:
-            subset_config = replace(
-                config, edge_rules=tuple(rules[i] for i in chosen))
-            reports[key] = run_cv(dataset, subset_config,
-                                  [props[i] for i in chosen]).to_dict()
-    return reports
+    runs = _subset_runs(config, rules, props, resolved,
+                        skip_full=full_report is not None)
+    reports = _cross_validate(dataset, list(runs.values()))
+    by_key = {key: report.to_dict() for key, report in zip(runs, reports)}
+    return {key: by_key.get(key, full_report) for key in resolved}
 
 
 def _default_subsets(dataset: Dataset) -> list[list[str]]:
@@ -325,11 +333,12 @@ def cmd_graph_stats(args) -> int:
     return 0
 
 
-def _cv_report(dataset: Dataset, config: TrainConfig, props=None) -> dict:
-    """``run_cv`` as a report dict. A class with fewer members than the
-    fold count is named as ``train.folds``, which ``--folds`` also sets."""
+def _cv_reports(dataset: Dataset, runs) -> list[dict]:
+    """``_cross_validate`` of ``runs`` as report dicts. A class with fewer
+    members than the fold count is named as ``train.folds``, which
+    ``--folds`` also sets."""
     try:
-        return run_cv(dataset, config, props).to_dict()
+        return [report.to_dict() for report in _cross_validate(dataset, runs)]
     except DataError as err:
         if err.field != "k":  # stratified_kfold's class-count rule
             raise
@@ -338,7 +347,8 @@ def _cv_report(dataset: Dataset, config: TrainConfig, props=None) -> dict:
 
 def cmd_cv(args) -> int:
     run, dataset, config = _set_up(args)
-    report = _cv_report(dataset, config)
+    props = build_propagation_matrices(dataset, config.edge_rules)
+    report, = _cv_reports(dataset, [(config, props)])
     tail = _write_report(report, run.out)
     print(f"cv: mean_acc={report['mean_acc']:.4f} "
           f"std_acc={report['std_acc']:.4f} folds={config.folds}{tail}",
@@ -347,30 +357,39 @@ def cmd_cv(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """The proposed model, each baseline and each graph subset, every fold
+    of every method trained through one ``_cross_validate`` call, so that
+    they share one split and at most one pool of fold workers."""
     run, dataset, config = _set_up(args)
     subsets = (_default_subsets(dataset) if run.subsets is None
                else run.subsets)
-    _resolve_subsets(dataset, config.edge_rules, subsets)  # fail early
-    affinities = build_affinity_matrices(dataset, config.edge_rules)
+    rules = config.edge_rules
+    resolved = _resolve_subsets(dataset, rules, subsets)  # fail early
+    affinities = build_affinity_matrices(dataset, rules)
     props = [normalize_affinity(a) for a in affinities]
     # only avg_gcn reads the affinities: keep their average, not them
     averaged = (averaged_propagation(affinities)
                 if "avg_gcn" in run.baselines else None)
     del affinities
-    proposed = _cv_report(dataset, config, props)
+    # the full subset is the proposed run itself and reuses its report
+    ablated = _subset_runs(config, rules, props, resolved)
+    runs = [(config, props),
+            *(_baseline_run(dataset, config, BaselineKind(name), averaged)
+              for name in run.baselines),
+            *ablated.values()]
+    proposed, *reports = _cv_reports(dataset, runs)
+    baselines = {name: {"kind": name, **section}
+                 for name, section in zip(run.baselines, reports)}
+    by_key = dict(zip(ablated, reports[len(run.baselines):]))
     report = {
         "config": proposed["config"],
         "split_hash": proposed["split_hash"],
         "proposed": proposed,
-        "baselines": {name: run_baseline_cv(dataset, config,
-                                            BaselineKind(name), averaged)
-                      for name in run.baselines},
-        "subsets": ablate_graph_subsets(dataset, config, subsets, props,
-                                        proposed),
+        "baselines": baselines,
+        "subsets": {key: by_key.get(key, proposed) for key in resolved},
     }
     tail = _write_report(report, run.out)
-    ranked = {name: entry["mean_acc"]
-              for name, entry in report["baselines"].items()}
+    ranked = {name: entry["mean_acc"] for name, entry in baselines.items()}
     ranked["proposed"] = proposed["mean_acc"]
     summary = " ".join(f"{name}={acc:.4f}"
                        for name, acc in sorted(ranked.items()))

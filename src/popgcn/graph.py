@@ -196,9 +196,10 @@ def normalize_affinity(affinity: AffinityMatrix) -> PropagationMatrix:
     """
     augmented = affinity.weights + np.eye(affinity.n_nodes)
     inv_sqrt_degree = 1.0 / np.sqrt(augmented.sum(axis=1))
-    # outer-product scaling keeps the result bitwise symmetric
-    return PropagationMatrix(
-        matrix=augmented * np.outer(inv_sqrt_degree, inv_sqrt_degree))
+    # outer-product scaling keeps the result bitwise symmetric; scaling in
+    # place keeps one N x N buffer fewer alive
+    augmented *= np.outer(inv_sqrt_degree, inv_sqrt_degree)
+    return PropagationMatrix(matrix=augmented)
 
 
 def default_edge_rules(dataset: Dataset) -> list[EdgeRule]:

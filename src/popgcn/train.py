@@ -338,11 +338,11 @@ def _blas_threads() -> int | None:
     return None
 
 
-def _fold_workers(n_folds: int) -> int:
-    """Processes to train ``n_folds`` folds in; 1 means this process.
+def _fold_workers(n_jobs: int) -> int:
+    """Processes to train ``n_jobs`` folds in; 1 means this process.
 
     The usable CPUs go either to BLAS threads or to folds, never to both:
-    ``min(n_folds, cpus // blas_threads)``. A run stays in this process
+    ``min(n_jobs, cpus // blas_threads)``. A run stays in this process
     when no OpenBLAS answers the probe, when ``fork`` is not available,
     when this process is itself a daemonic worker (which may not have
     children), or when other threads run: a fork copies the locks they may
@@ -356,7 +356,7 @@ def _fold_workers(n_folds: int) -> int:
     threads = _blas_threads()
     if not threads:
         return 1
-    return max(1, min(n_folds, len(os.sched_getaffinity(0)) // threads))
+    return max(1, min(n_jobs, len(os.sched_getaffinity(0)) // threads))
 
 
 def _fold_entry(dataset: Dataset, props, config: TrainConfig, fold,
@@ -382,7 +382,7 @@ def _fold_entry(dataset: Dataset, props, config: TrainConfig, fold,
     }
 
 
-_worker_inputs = None  # (dataset, props, config, jobs) in a fold worker
+_worker_inputs = None  # (dataset, jobs) in a fold worker
 
 
 def _interrupt_once(signum, frame):
@@ -406,8 +406,8 @@ def _hold_worker_inputs(*inputs) -> None:
 
 
 def _worker_fold_entry(index: int) -> dict:
-    dataset, props, config, jobs = _worker_inputs
-    return _fold_entry(dataset, props, config, *jobs[index])
+    dataset, jobs = _worker_inputs
+    return _fold_entry(dataset, *jobs[index])
 
 
 def _result(future):
@@ -422,19 +422,21 @@ def _result(future):
             pass
 
 
-def _map_folds(dataset: Dataset, props, config: TrainConfig, jobs) -> list:
-    """``_fold_entry`` of each (fold, seed) of ``jobs``, in their order.
+def _map_folds(dataset: Dataset, jobs) -> list:
+    """``_fold_entry`` of each (props, config, fold, seed) of ``jobs``, in
+    their order.
 
-    With more than one worker the folds train in forked processes. Fork
-    hands the inputs over without pickling them: the workers share the
-    dataset and the operators copy-on-write, and only the entries travel
-    back. An interrupt of this process ends the workers too: leaving the
-    pool would otherwise wait for their running and queued folds.
+    With more than one worker the folds train in forked processes, all
+    jobs in one pool. Fork hands the inputs over without pickling them: the
+    workers share the dataset and the operators copy-on-write, and only the
+    entries travel back. Of several failing jobs, the first in ``jobs``
+    raises, as in this process. An interrupt of this process ends the
+    workers too: leaving the pool would otherwise wait for their running
+    and queued folds.
     """
     workers = _fold_workers(len(jobs))
     if workers == 1:
-        return [_fold_entry(dataset, props, config, fold, fold_seed)
-                for fold, fold_seed in jobs]
+        return [_fold_entry(dataset, *job) for job in jobs]
     import multiprocessing
     import signal
     from concurrent.futures import ProcessPoolExecutor
@@ -448,7 +450,7 @@ def _map_folds(dataset: Dataset, props, config: TrainConfig, jobs) -> list:
     pool = ProcessPoolExecutor(workers,
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_hold_worker_inputs,
-                               initargs=(dataset, props, config, jobs))
+                               initargs=(dataset, jobs))
     # SIGINT waits until the workers are forked, at the first submit
     blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     raising = signal.getsignal(signal.SIGINT) is signal.default_int_handler
@@ -480,22 +482,37 @@ def _map_folds(dataset: Dataset, props, config: TrainConfig, jobs) -> list:
                 signal.signal(signal.SIGINT, signal.default_int_handler)
 
 
-def _cross_validate(dataset: Dataset, config: TrainConfig,
-                    props) -> CVReport:
-    """Train on ``props`` and score every fold of ``config``'s split.
+def _cross_validate(dataset: Dataset, runs) -> list[CVReport]:
+    """Train each (config, props) run of ``runs`` on every fold of its
+    config's split and score it: one report per run, in their order.
 
-    Each fold's entry is its ``_fold_entry``; the folds may train in worker
-    processes (see ``_fold_workers``) and give the same entries. The report
-    echoes ``config`` with its edge rules resolved by ``rules_or_defaults``.
+    Runs of one seed and fold count share one split. The folds of every run
+    are mapped in one ``_map_folds`` call, so they may train in one pool of
+    worker processes (see ``_fold_workers``) and give the same entries.
+    Each report echoes its config with the edge rules resolved by
+    ``rules_or_defaults``.
     """
-    folds, seeds = cv_folds_and_seeds(dataset.labels, config)
-    entries = _map_folds(dataset, props, config, list(zip(folds, seeds)))
-    accs = np.array([entry["accuracy"] for entry in entries])
-    rules = rules_or_defaults(dataset, config.edge_rules)
-    return CVReport(folds=entries, mean_acc=float(accs.mean()),
-                    std_acc=float(accs.std()),
-                    config=config_to_dict(replace(config, edge_rules=rules)),
-                    split_hash=split_hash(folds))
+    splits, jobs = {}, []
+    for config, props in runs:
+        key = (config.seed, config.folds)
+        if key not in splits:
+            splits[key] = cv_folds_and_seeds(dataset.labels, config)
+        folds, seeds = splits[key]
+        jobs += [(props, config, fold, seed)
+                 for fold, seed in zip(folds, seeds)]
+    entries = iter(_map_folds(dataset, jobs))
+    reports = []
+    for config, _ in runs:
+        folds, _ = splits[(config.seed, config.folds)]
+        run_entries = [next(entries) for _ in folds]
+        accs = np.array([entry["accuracy"] for entry in run_entries])
+        rules = rules_or_defaults(dataset, config.edge_rules)
+        reports.append(CVReport(
+            folds=run_entries, mean_acc=float(accs.mean()),
+            std_acc=float(accs.std()),
+            config=config_to_dict(replace(config, edge_rules=rules)),
+            split_hash=split_hash(folds)))
+    return reports
 
 
 def run_cv(dataset: Dataset, config: TrainConfig, props=None) -> CVReport:
@@ -516,4 +533,5 @@ def run_cv(dataset: Dataset, config: TrainConfig, props=None) -> CVReport:
     elif len(props) != len(rules):
         raise ValueError(f"{len(props)} propagation matrices for "
                          f"{len(rules)} edge rules")
-    return _cross_validate(dataset, config, props)
+    report, = _cross_validate(dataset, [(config, props)])
+    return report

@@ -60,6 +60,46 @@ class TestPropagationVariants:
             [entry["accuracy"] for entry in model.folds]
 
 
+def _random_affinities(n_graphs, n_nodes, seed=0):
+    rng = np.random.default_rng(seed)
+    affinities = []
+    for m in range(n_graphs):
+        weights = rng.random((n_nodes, n_nodes))
+        weights += weights.T
+        np.fill_diagonal(weights, 0.0)
+        affinities.append(popgcn.AffinityMatrix(weights, f"e{m}"))
+    return affinities
+
+
+class TestAveragedPropagationSum:
+    @pytest.mark.parametrize("n_graphs", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_nodes", [300, 1000])
+    def test_same_bits_as_numpy_mean(self, n_graphs, n_nodes):
+        affinities = _random_affinities(n_graphs, n_nodes, seed=n_graphs)
+        mean = np.mean([a.weights for a in affinities], axis=0)
+        expected = popgcn.normalize_affinity(
+            popgcn.AffinityMatrix(mean, "averaged"))
+        averaged = popgcn.averaged_propagation(affinities)
+        assert np.array_equal(averaged.matrix, expected.matrix)
+
+    def test_peak_memory_holds_no_stack_of_the_matrices(self):
+        # np.mean would stack four N x N matrices and keep their mean beside
+        # them: a peak of 5 N^2 floats before normalization starts
+        n = 400
+        affinities = _random_affinities(4, n)
+        tracemalloc.start()
+        try:
+            popgcn.averaged_propagation(affinities)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
+
+    def test_no_matrices_refused(self):
+        with pytest.raises(popgcn.GraphError, match="at least one"):
+            popgcn.averaged_propagation([])
+
+
 class TestZeroWeightChanceLevel:
     def test_zero_filters_give_log_k_loss(self):
         # all-zero filters emit constant logits, so the weighted loss must be

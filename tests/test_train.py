@@ -524,6 +524,29 @@ class TestCVPlumbing:
             popgcn.CVReport(folds=[{}], mean_acc=0.5, std_acc=0.0,
                             config={"folds": 3}, split_hash="x")
 
+    def test_runs_of_one_seed_and_fold_count_share_one_split(
+            self, monkeypatch, serial_folds):
+        # one report per run, each the report of that run alone, and one
+        # split per distinct (seed, folds)
+        ds = quick_dataset()
+        props = popgcn.build_propagation_matrices(ds)
+        configs = [quick_config(), quick_config(hidden_dims=(4,)),
+                   quick_config(seed=1), quick_config(folds=2)]
+        alone = [_stripped(popgcn.run_cv(ds, config, props))
+                 for config in configs]
+        splits = []
+        real_split = train_mod.cv_folds_and_seeds
+
+        def counted_split(labels, config):
+            splits.append((config.seed, config.folds))
+            return real_split(labels, config)
+
+        monkeypatch.setattr(train_mod, "cv_folds_and_seeds", counted_split)
+        reports = train_mod._cross_validate(
+            ds, [(config, props) for config in configs])
+        assert [_stripped(report) for report in reports] == alone
+        assert splits == [(0, 3), (1, 3), (0, 2)]
+
 
 def _stripped(report) -> str:
     """A report's JSON text with every ``wall_clock_sec`` removed."""
@@ -669,6 +692,23 @@ class TestFoldWorkers:
         host(cpus, threads)
         assert train_mod._fold_workers(folds) == workers
 
+    def test_capped_at_the_folds_of_every_run(self, host, monkeypatch):
+        # two runs of 3 folds are 6 jobs for one pool, not 3 for each of two
+        host(8, 1)
+        asked = []
+        real_workers = train_mod._fold_workers
+
+        def spy(n_jobs):
+            asked.append((n_jobs, real_workers(n_jobs)))
+            return 1  # train here: the host above is not this machine
+
+        monkeypatch.setattr(train_mod, "_fold_workers", spy)
+        ds = quick_dataset()
+        config = quick_config(max_total_epochs=20, phase1_epochs=5)
+        props = popgcn.build_propagation_matrices(ds)
+        train_mod._cross_validate(ds, [(config, props), (config, props[:1])])
+        assert asked == [(6, 6)]
+
     def test_no_openblas_runs_serially(self, host):
         host(8, None)
         assert train_mod._fold_workers(10) == 1
@@ -704,16 +744,21 @@ SRC = Path(popgcn.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
 
 # Runs folds with the worker count of argv[1] and records the pid of every
-# train_model call in argv[2]/pids. With argv[3] "report" it writes a run_cv
-# report and runs compare on the config argv[4]; with "exit" or "raise" a
-# fold worker dies or raises and cv runs on argv[4]; with "daemon" run_cv
-# runs inside a daemonic pool worker on a host whose rule gives 2 workers.
-# With "group" or "parent" the first fold sends SIGINT to the process group
-# or to the process that runs cv, then sleeps as if it trained on; cv runs,
-# and with "parent" a bystander child is started first, and the exit code
-# is 99 if the interrupt ended it too.
+# train_model call in argv[2]/pids, and every process pool it starts in
+# argv[2]/pools, one line naming the command that started it. With argv[3]
+# "report" it writes a run_cv report and runs compare on the config argv[4];
+# with "exit" or "raise" a fold worker dies or raises and cv runs on argv[4];
+# with "baseline" every fold on the no-graph operator raises, in any
+# process, and with "subset" a worker dies in its first fold of a one-graph
+# subset; compare runs on argv[4]. With "daemon" run_cv runs inside a
+# daemonic pool worker on a host whose rule gives 2 workers. With "group" or
+# "parent" the first fold sends SIGINT to the process group or to the
+# process that runs cv, then sleeps as if it trained on; cv runs, and with
+# "parent" a bystander child is started first, and the exit code is 99 if
+# the interrupt ended it too.
 FORKED_RUN = """
-import json, multiprocessing, os, signal, subprocess, sys, time
+import concurrent.futures, json, multiprocessing, os, signal, subprocess, sys
+import time
 import popgcn.cli
 import popgcn.train as train
 from helpers import quick_config, quick_dataset
@@ -721,22 +766,37 @@ from helpers import quick_config, quick_dataset
 workers, out, mode, config = sys.argv[1:]
 parent = os.getpid()
 real_train = train.train_model
+real_pool = concurrent.futures.ProcessPoolExecutor
+command = "cv"
 
 
-def recorded(*args, **kwargs):
+class RecordedPool(real_pool):
+    def __init__(self, *args, **kwargs):
+        with open(os.path.join(out, "pools"), "a") as handle:
+            handle.write(f"{command}\\n")
+        super().__init__(*args, **kwargs)
+
+
+def recorded(dataset, props, config, *args, **kwargs):
     with open(os.path.join(out, "pids"), "a") as handle:
         handle.write(f"{os.getpid()}\\n")
     if os.getpid() != parent and mode == "exit":
         os._exit(1)
     if os.getpid() != parent and mode == "raise":
         raise train.TrainingError("non-finite training loss at epoch 3")
+    if mode == "baseline" and props[0].matrix is None:
+        raise train.TrainingError("non-finite training loss at epoch 3 of "
+                                  f"hidden_dims {config.hidden_dims}")
+    if (os.getpid() != parent and mode == "subset"
+            and len(config.edge_rules) == 1):
+        os._exit(1)
     if mode in ("group", "parent"):
         if mode == "group":
             os.killpg(0, signal.SIGINT)
         else:
             os.kill(parent, signal.SIGINT)
         time.sleep(60)
-    return real_train(*args, **kwargs)
+    return real_train(dataset, props, config, *args, **kwargs)
 
 
 def run_cv():
@@ -744,13 +804,14 @@ def run_cv():
 
 
 train.train_model = recorded
+concurrent.futures.ProcessPoolExecutor = RecordedPool
 if mode == "daemon":
     train._blas_threads = lambda: 1
     os.sched_getaffinity = lambda pid: {0, 1}
     with multiprocessing.get_context("fork").Pool(1) as pool:
         report = pool.apply(run_cv)
     sys.exit(0 if report["mean_acc"] > 0 else 1)
-train._fold_workers = lambda n_folds: min(int(workers), n_folds)
+train._fold_workers = lambda n_jobs: min(int(workers), n_jobs)
 if mode == "parent":
     bystander = subprocess.Popen([sys.executable, "-c",
                                   "import time; time.sleep(60)"])
@@ -762,8 +823,12 @@ if mode == "parent":
 if mode == "report":
     with open(os.path.join(out, "cv.json"), "w") as handle:
         json.dump(run_cv(), handle)
+    command = "compare"
     sys.exit(popgcn.cli.main(["compare", "--config", config,
                               "--out", os.path.join(out, "compare.json")]))
+if mode in ("baseline", "subset"):
+    command = "compare"
+    sys.exit(popgcn.cli.main(["compare", "--config", config]))
 sys.exit(popgcn.cli.main(["cv", "--config", config]))
 """
 
@@ -818,6 +883,12 @@ def _forked_run(tmp_path, workers, mode):
     return done, out, pids
 
 
+def _pools(out):
+    """The command that started each process pool of a forked run."""
+    path = out / "pools"
+    return path.read_text().split() if path.exists() else []
+
+
 def _without_wall_clock(path):
     return json.dumps(strip_wall_clock(json.loads(path.read_text())),
                       sort_keys=True)
@@ -841,6 +912,15 @@ class TestForkedFolds:
         assert not set(forked_pids) & set(serial_pids)
         assert len(set(forked_pids)) > 1
 
+    def test_run_cv_and_compare_each_start_one_pool(self, tmp_path):
+        # the folds of every compare method train in one pool of workers
+        done, out, _ = _forked_run(tmp_path, 2, "report")
+        assert done.returncode == 0, done.stderr
+        assert _pools(out) == ["cv", "compare"]
+        done, out, _ = _forked_run(tmp_path, 1, "report")
+        assert done.returncode == 0, done.stderr
+        assert _pools(out) == []
+
     def test_killed_worker_is_one_error_line(self, tmp_path):
         done, _, pids = _forked_run(tmp_path, 2, "exit")
         assert done.returncode == 1
@@ -854,6 +934,28 @@ class TestForkedFolds:
         assert done.returncode == 1
         assert done.stderr.splitlines() == [
             "error: non-finite training loss at epoch 3"]
+        assert pids
+
+    def test_baseline_error_is_the_serial_line(self, tmp_path):
+        # dense_nn and linear both fail; dense_nn comes first in the report,
+        # so its error is the one line, whichever fold fails first
+        lines = {}
+        for workers in (1, 2):
+            done, out, pids = _forked_run(tmp_path, workers, "baseline")
+            assert done.returncode == 1
+            lines[workers] = done.stderr.splitlines()
+            assert pids
+        assert lines[1] == lines[2] == [
+            "error: non-finite training loss at epoch 3 of hidden_dims (8,)"]
+        assert _pools(out) == ["compare"]
+
+    def test_worker_dying_in_a_subset_fold_is_one_error_line(self, tmp_path):
+        done, out, pids = _forked_run(tmp_path, 2, "subset")
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "error: a fold worker exited without a result, for example "
+            "because it was killed"]
+        assert _pools(out) == ["compare"]
         assert pids
 
     @pytest.mark.parametrize("workers", [1, 2])
