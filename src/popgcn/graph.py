@@ -8,6 +8,7 @@ by the graph-convolution layers.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,17 +56,41 @@ class EdgeRule:
 _SYMMETRY_TILE = 256
 
 
+def _row_blocks(n: int):
+    """Slices of ``_SYMMETRY_TILE`` rows covering ``n`` rows: a check's
+    boolean mask or a scaling's operand is built one block at a time, never
+    N x N at once."""
+    return (slice(i, i + _SYMMETRY_TILE) for i in range(0, n, _SYMMETRY_TILE))
+
+
+def _any_rows(array: np.ndarray, test) -> bool:
+    """``np.any(test(array))``, one block of rows at a time."""
+    array = np.atleast_1d(array)
+    return any(np.any(test(array[rows])) for rows in _row_blocks(len(array)))
+
+
+def _checked_out(out, shape) -> np.ndarray | None:
+    """A stage's ``out=`` argument: None, or a float64 array of ``shape``."""
+    if out is not None and not (isinstance(out, np.ndarray)
+                                and out.dtype == np.float64
+                                and out.shape == shape):
+        raise GraphError(f"out must be a float64 array of shape {shape}")
+    return out
+
+
+def _tile_pairs(n: int):
+    """``(rows, cols)`` slices of every tile on or above the diagonal of an
+    n x n array; ``array[cols, rows]`` is the tile's mirror."""
+    for rows in _row_blocks(n):
+        for j in range(rows.start, n, _SYMMETRY_TILE):
+            yield rows, slice(j, j + _SYMMETRY_TILE)
+
+
 def _exactly_symmetric(array: np.ndarray) -> bool:
     """``np.array_equal(array, array.T)`` for a square 2-D array, computed
     one tile on or above the diagonal at a time against its mirror tile."""
-    n = array.shape[0]
-    for i in range(0, n, _SYMMETRY_TILE):
-        rows = slice(i, i + _SYMMETRY_TILE)
-        for j in range(i, n, _SYMMETRY_TILE):
-            cols = slice(j, j + _SYMMETRY_TILE)
-            if not np.array_equal(array[rows, cols], array[cols, rows].T):
-                return False
-    return True
+    return all(np.array_equal(array[rows, cols], array[cols, rows].T)
+               for rows, cols in _tile_pairs(array.shape[0]))
 
 
 def _symmetric_float64(array, what: str) -> np.ndarray:
@@ -73,7 +98,7 @@ def _symmetric_float64(array, what: str) -> np.ndarray:
     array = np.asarray(array, dtype=np.float64)
     if array.ndim != 2 or array.shape[0] != array.shape[1]:
         raise GraphError(f"{what} must be square, got {array.shape}")
-    if not np.all(np.isfinite(array)):
+    if _any_rows(array, lambda block: ~np.isfinite(block)):
         raise GraphError(f"{what} must be finite")
     if not _exactly_symmetric(array):
         raise GraphError(f"{what} must be exactly symmetric")
@@ -89,7 +114,7 @@ class AffinityMatrix:
 
     def __post_init__(self):
         weights = _symmetric_float64(self.weights, "affinity weights")
-        if np.any(weights < 0):
+        if _any_rows(weights, lambda block: block < 0):
             raise GraphError("affinity weights must be nonnegative")
         if np.any(np.diagonal(weights) != 0):
             raise GraphError("affinity diagonal must be zero (self-loops are "
@@ -132,22 +157,25 @@ class PropagationMatrix:
         return h if self.matrix is None else self.matrix @ h
 
 
-def build_edge_matrix(delta_column, rule: EdgeRule) -> np.ndarray:
+def build_edge_matrix(delta_column, rule: EdgeRule, *, out=None) -> np.ndarray:
     """Binary symmetric edge matrix from one demographic column.
 
     Threshold rules connect i != j when |delta_i - delta_j| < beta, equality
-    rules when the values match exactly. The diagonal stays zero.
+    rules when the values match exactly. The diagonal stays zero. The matrix
+    is written into ``out`` (float64, N x N) when given, else a new array.
     """
     column = np.asarray(delta_column, dtype=np.float64).reshape(-1)
     bad = np.flatnonzero(~np.isfinite(column))
     if bad.size:
         raise GraphError(f"non-finite demographic value at row {bad[0]}")
+    n = column.size
+    edges = np.empty((n, n)) if out is None else _checked_out(out, (n, n))
     if rule.kind == THRESHOLD:
         # one N x N buffer: the differences, their magnitudes, then 0.0/1.0
-        edges = column[:, None] - column[None, :]
+        np.subtract(column[:, None], column[None, :], out=edges)
         np.less(np.abs(edges, out=edges), rule.beta, out=edges)
     else:
-        edges = (column[:, None] == column[None, :]).astype(np.float64)
+        np.equal(column[:, None], column[None, :], out=edges)
     np.fill_diagonal(edges, 0.0)
     return edges
 
@@ -157,48 +185,76 @@ def similarity_matrix(features) -> np.ndarray:
 
     Entries are max(0, corr(X_i, X_j)): anti-correlated subjects disconnect
     rather than injecting negative weight into the degree normalization. The
-    diagonal is exactly 1.
+    diagonal is exactly 1. A row whose centred sum of squares overflows, or
+    underflows to zero, is refused: its correlations would read 0 or 1
+    whatever the data.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] < 2:
         raise GraphError("similarity needs at least 2 feature dimensions per row")
-    spread = feats.max(axis=1) - feats.min(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = feats.max(axis=1) - feats.min(axis=1)
+        squares = np.square(feats - feats.mean(axis=1, keepdims=True)).sum(axis=1)
     flat = np.flatnonzero(spread == 0)
     if flat.size:
         raise GraphError(
             f"feature row {flat[0]} is constant; correlation undefined")
+    bad = np.flatnonzero(~(np.isfinite(squares) & (squares > 0)))
+    if bad.size:
+        raise GraphError(
+            f"feature row {bad[0]} has a centred sum of squares that is not "
+            f"finite and positive; correlation undefined")
     sim = np.corrcoef(feats)
-    sim = np.clip((sim + sim.T) / 2.0, 0.0, 1.0)
+    # clip((sim + sim.T) / 2, 0, 1) in place, one tile and its mirror at a
+    # time; a + b == b + a, so both tiles get that formula's bits
+    for rows, cols in _tile_pairs(sim.shape[0]):
+        tile = np.clip((sim[rows, cols] + sim[cols, rows].T) / 2.0, 0.0, 1.0)
+        sim[rows, cols] = tile
+        sim[cols, rows] = tile.T
     np.fill_diagonal(sim, 1.0)
     return sim
 
 
-def build_affinity(sim, edges, element_name: str = "") -> AffinityMatrix:
-    """Entrywise product of the similarity and binary edge matrices."""
+def build_affinity(sim, edges, element_name: str = "", *,
+                   out=None) -> AffinityMatrix:
+    """Entrywise product of the similarity and binary edge matrices, written
+    into ``out`` when given (it may be ``sim`` or ``edges``)."""
     sim = np.asarray(sim, dtype=np.float64)
     edges = np.asarray(edges, dtype=np.float64)
     if sim.shape != edges.shape:
         raise GraphError(
             f"shape mismatch: similarity {sim.shape} vs edges {edges.shape}")
     # the product hides non-binary edges; AffinityMatrix checks the rest
-    if np.any((edges != 0.0) & (edges != 1.0)):
+    if _any_rows(edges, lambda block: (block != 0.0) & (block != 1.0)):
         raise GraphError("edge matrix must be binary")
-    return AffinityMatrix(weights=sim * edges, element_name=element_name)
+    weights = np.multiply(sim, edges, out=_checked_out(out, sim.shape))
+    return AffinityMatrix(weights=weights, element_name=element_name)
 
 
-def normalize_affinity(affinity: AffinityMatrix) -> PropagationMatrix:
+def normalize_affinity(affinity: AffinityMatrix, *,
+                       out=None) -> PropagationMatrix:
     """Self-loop-augmented symmetric normalization.
 
     With W' = W + I and degrees D_ii = sum_j W'_ij, returns
     D^{-1/2} W' D^{-1/2}. The unit self-loop keeps every degree >= 1, so
     isolated subjects propagate only to themselves instead of dividing by
-    zero, and the result's spectral radius stays <= 1.
+    zero, and the result's spectral radius stays <= 1. The operator is
+    written into ``out`` when given; it may be ``affinity.weights``.
     """
-    augmented = affinity.weights + np.eye(affinity.n_nodes)
+    weights = affinity.weights
+    if out is None:
+        augmented = weights.copy()
+    else:
+        augmented = _checked_out(out, weights.shape)
+        if augmented is not weights:
+            np.copyto(augmented, weights)
+    np.fill_diagonal(augmented, 1.0)  # W + I exactly: W's diagonal is zero
     inv_sqrt_degree = 1.0 / np.sqrt(augmented.sum(axis=1))
-    # outer-product scaling keeps the result bitwise symmetric; scaling in
-    # place keeps one N x N buffer fewer alive
-    augmented *= np.outer(inv_sqrt_degree, inv_sqrt_degree)
+    # scaling each entry by the product of its row's and its column's scale
+    # keeps the result bitwise symmetric; one block of rows at a time keeps
+    # that product from taking an N x N array
+    for rows in _row_blocks(affinity.n_nodes):
+        augmented[rows] *= inv_sqrt_degree[rows, None] * inv_sqrt_degree
     return PropagationMatrix(matrix=augmented)
 
 
@@ -219,8 +275,14 @@ def default_edge_rules(dataset: Dataset) -> list[EdgeRule]:
                                and distinct <= MAX_CATEGORICAL_LEVELS):
             rules.append(EdgeRule(name, EQUALITY))
         else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                std = float(column.std())
+            if not np.isfinite(std):
+                raise GraphError(f"element {name!r}: the standard deviation "
+                                 "of its column is not finite, so it has no "
+                                 "default threshold")
             rules.append(EdgeRule(name, THRESHOLD,
-                                  CONTINUOUS_BETA_FACTOR * float(column.std())))
+                                  CONTINUOUS_BETA_FACTOR * std))
     return rules
 
 
@@ -229,24 +291,66 @@ def rules_or_defaults(dataset: Dataset, rules) -> list[EdgeRule]:
     return list(rules) if rules else default_edge_rules(dataset)
 
 
+def _build_threads(n_elements: int) -> int:
+    """Threads to build ``n_elements`` graphs in; 1 means the calling thread.
+
+    Every CPU this process may run on takes one element: the per-element
+    stages are elementwise NumPy passes, which release the GIL and call no
+    BLAS.
+    """
+    return min(n_elements, len(os.sched_getaffinity(0)))
+
+
+def _element_graph(dataset: Dataset, sim, rule: EdgeRule, buffer,
+                   normalize: bool):
+    """One element's affinity, or with ``normalize`` its operator, built in
+    ``buffer``: each stage overwrites the one before."""
+    column = dataset.demographics[:, dataset.element_index(rule.element)]
+    edges = build_edge_matrix(column, rule, out=buffer)
+    affinity = build_affinity(sim, edges, rule.element, out=buffer)
+    return normalize_affinity(affinity, out=buffer) if normalize else affinity
+
+
+def _build_graphs(dataset: Dataset, rules, normalize: bool) -> list:
+    """``_element_graph`` of every rule, in rule order, in up to
+    ``_build_threads`` threads. An error is the one a serial build raises:
+    the first failing rule's. Rules not yet started then stay unbuilt."""
+    sim = similarity_matrix(dataset.features)
+    rules = rules_or_defaults(dataset, rules)
+    n = dataset.n_nodes
+    # Every N x N buffer comes from this thread. A thread that allocates its
+    # own keeps the freed memory in its malloc arena, which raised the peak
+    # RSS above that of a serial build.
+    jobs = [(dataset, sim, rule, np.empty((n, n)), normalize)
+            for rule in rules]
+    threads = _build_threads(len(jobs))
+    if threads <= 1:
+        return [_element_graph(*job) for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor  # import popgcn stays lean
+    pool = ThreadPoolExecutor(threads)
+    try:
+        futures = [pool.submit(_element_graph, *job) for job in jobs]
+        return [future.result() for future in futures]
+    finally:
+        # joins every thread, so that folds may still fork after the build
+        pool.shutdown(cancel_futures=True)
+
+
 def build_affinity_matrices(dataset: Dataset, rules=None) -> list[AffinityMatrix]:
     """One similarity-weighted graph per rule (none or empty: the defaults).
 
-    The similarity matrix is computed once and shared across all graphs. A
-    rule naming no element of ``dataset`` is a ``DataError``.
+    The similarity matrix is computed once and shared across all graphs.
+    The graphs build side by side in threads (see ``_build_threads``), with
+    the bits of a serial build. A rule naming no element of ``dataset`` is a
+    ``DataError``.
     """
-    sim = similarity_matrix(dataset.features)
-    matrices = []
-    for rule in rules_or_defaults(dataset, rules):
-        column = dataset.demographics[:, dataset.element_index(rule.element)]
-        matrices.append(build_affinity(
-            sim, build_edge_matrix(column, rule), rule.element))
-    return matrices
+    return _build_graphs(dataset, rules, normalize=False)
 
 
 def build_propagation_matrices(dataset: Dataset, rules=None) -> list[PropagationMatrix]:
-    """Normalized propagation operator per element graph."""
-    return [normalize_affinity(a) for a in build_affinity_matrices(dataset, rules)]
+    """Normalized propagation operator per element graph. Each operator is
+    built in one N x N array, and no affinity is kept."""
+    return _build_graphs(dataset, rules, normalize=True)
 
 
 def graph_statistics(affinity: AffinityMatrix) -> dict:

@@ -89,3 +89,22 @@ def test_traced_baseline_counts_one_layer_span_per_layer(kind, serial_folds):
             names.count("model.forward_eval")) == \
         _forward_counts(report["folds"], config)
     assert names.count("model.layer") == n_layers * forwards
+
+
+def test_traced_threaded_build_counts_one_span_per_stage_call(
+        threaded_build):
+    # the build threads call the stages through popgcn.graph's names, so the
+    # patched ones: one similarity per build, one of each stage per element
+    import popgcn
+    from helpers import quick_dataset
+
+    ds = quick_dataset(noise_elements=("noise", "site"))
+    with spans.Tracer().install() as tracer:
+        props = popgcn.build_propagation_matrices(ds)
+    names = [span[0] for span in tracer.spans]
+    assert len(props) == ds.n_elements == 3
+    assert names.count("graph.similarity") == 1
+    for stage in ("graph.edges", "graph.affinity", "graph.normalize"):
+        assert names.count(stage) == ds.n_elements, stage
+    assert tracer.counts["graph.operator_bytes"] == \
+        ds.n_elements * ds.n_nodes ** 2 * 8

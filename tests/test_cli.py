@@ -567,6 +567,33 @@ class TestCvCommand:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {paths[file]}: {message}"]
 
+    # finite cells whose spread leaves float range: the run used to go on
+    # after RuntimeWarnings, with a row's every similarity at 0 or 1, or end
+    # in an error that named no element
+    @pytest.mark.parametrize("scale, element, message", [
+        (1e300, None, "feature row 4 has a centred sum of squares that is "
+                      "not finite and positive; correlation undefined"),
+        (1e-320, None, "feature row 4 has a centred sum of squares that is "
+                       "not finite and positive; correlation undefined"),
+        (1e308, "noise", "element 'noise': the standard deviation of its "
+                         "column is not finite, so it has no default "
+                         "threshold"),
+    ], ids=["huge-features-row", "subnormal-features-row",
+            "huge-demographic-spread"])
+    def test_values_beyond_float_range_are_one_error_line(
+            self, tmp_path, capsys, scale, element, message):
+        ds = quick_dataset()
+        if element is None:
+            ds.features[4] *= scale
+        else:
+            ds.demographics[[2, 5], ds.element_index(element)] = (scale,
+                                                                  -scale)
+        paths = popgcn.save_dataset(ds, tmp_path / "data")
+        config = write_config(tmp_path, data={
+            key: str(path) for key, path in paths.items()})
+        assert main(["cv", "--config", config]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("text, message", [
         ("7", "out-of-range (above 2) label 7.0 at row 3"),
         ("nan", "non-finite value 'nan' at row 3, column 0"),

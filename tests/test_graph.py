@@ -1,10 +1,14 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import popgcn
-from popgcn import graph
+from popgcn import graph, train
 from popgcn.data import DataError
 from popgcn.graph import GraphError
 from helpers import quick_dataset
@@ -185,6 +189,33 @@ class TestSimilarityMatrix:
         with pytest.raises(GraphError, match="at least 2"):
             popgcn.similarity_matrix([[1.], [2.]])
 
+    # x 1e300 overflows the row's centred sum of squares, which zeroed its
+    # every similarity; x 1e-320 underflows it to 0, which gave 1.0 to
+    # another subject. Tier-1 fails on the RuntimeWarnings either printed.
+    @pytest.mark.parametrize("scale", [1e300, 1e-320, 1e155])
+    def test_row_beyond_float_range_names_row(self, scale):
+        feats = np.random.default_rng(0).standard_normal((60, 8))
+        feats[4] *= scale
+        with pytest.raises(GraphError, match="feature row 4 has a centred "
+                           "sum of squares that is not finite and positive"):
+            popgcn.similarity_matrix(feats)
+
+    def test_constant_row_is_named_before_a_row_out_of_range(self):
+        feats = np.random.default_rng(0).standard_normal((6, 4))
+        feats[1] *= 1e300
+        feats[3] = 2.0
+        with pytest.raises(GraphError, match="feature row 3 is constant"):
+            popgcn.similarity_matrix(feats)
+
+    @pytest.mark.parametrize("n", [3, TILE, TILE + 1, 2 * TILE + 3])
+    def test_bits_of_the_full_matrix_formula(self, n):
+        feats = np.random.default_rng(n).standard_normal((n, 7))
+        feats[0] *= 1e150  # large but in range: still correlated exactly
+        sim = np.corrcoef(feats)
+        expected = np.clip((sim + sim.T) / 2.0, 0.0, 1.0)
+        np.fill_diagonal(expected, 1.0)
+        assert popgcn.similarity_matrix(feats).tobytes() == expected.tobytes()
+
 
 class TestBuildAffinity:
     def test_entrywise_product(self):
@@ -327,6 +358,14 @@ class TestDefaultEdgeRules:
         assert rule.kind == popgcn.THRESHOLD
         assert rule.beta == pytest.approx(0.5 * column[:, 0].std())
 
+    def test_column_whose_spread_overflows_names_element(self):
+        column = np.linspace(0.25, 3.75, 8)
+        column[2], column[5] = 1e308, -1e308
+        ds = self._dataset(column[:, None], ("score",))
+        with pytest.raises(GraphError, match="element 'score': the standard "
+                           "deviation of its column is not finite"):
+            popgcn.default_edge_rules(ds)
+
     def test_one_rule_per_element_in_order(self):
         ds = quick_dataset()
         rules = popgcn.default_edge_rules(ds)
@@ -423,6 +462,164 @@ class TestBuildMatrices:
         props = popgcn.build_propagation_matrices(
             ds, [popgcn.EdgeRule("noise", popgcn.THRESHOLD, 0.2)])
         assert len(props) == 1
+
+
+def _three_element_dataset(n_nodes=TILE + 1):
+    """Equality and threshold defaults on an N that is not a tile multiple."""
+    ds = quick_dataset(n_nodes=n_nodes, n_features=12,
+                       noise_elements=("noise", "site"))
+    kinds = {rule.kind for rule in popgcn.default_edge_rules(ds)}
+    assert kinds == {popgcn.EQUALITY, popgcn.THRESHOLD}
+    return ds
+
+
+class TestOutArguments:
+    @pytest.fixture
+    def parts(self):
+        ds = _three_element_dataset()
+        sim = popgcn.similarity_matrix(ds.features)
+        return ds, sim, popgcn.default_edge_rules(ds)
+
+    def test_edges_into_out(self, parts):
+        ds, _, rules = parts
+        for rule in rules:
+            column = ds.demographics[:, ds.element_index(rule.element)]
+            out = np.full((ds.n_nodes, ds.n_nodes), 7.0)
+            edges = popgcn.build_edge_matrix(column, rule, out=out)
+            assert edges is out
+            assert out.tobytes() == \
+                popgcn.build_edge_matrix(column, rule).tobytes()
+
+    @pytest.mark.parametrize("into", ["new", "edges", "sim"])
+    def test_affinity_into_out(self, parts, into):
+        ds, sim, rules = parts
+        column = ds.demographics[:, ds.element_index(rules[1].element)]
+        edges = popgcn.build_edge_matrix(column, rules[1])
+        expected = popgcn.build_affinity(sim, edges, "x").weights.tobytes()
+        sim, edges = sim.copy(), edges.copy()
+        out = {"new": np.empty_like(sim), "edges": edges, "sim": sim}[into]
+        affinity = popgcn.build_affinity(sim, edges, "x", out=out)
+        assert affinity.weights is out
+        assert out.tobytes() == expected
+
+    @pytest.mark.parametrize("alias", [False, True])
+    def test_normalize_into_out(self, parts, alias):
+        ds, sim, rules = parts
+        affinities = popgcn.build_affinity_matrices(ds, rules)
+        for affinity in affinities:
+            expected = popgcn.normalize_affinity(affinity).matrix.tobytes()
+            out = affinity.weights if alias else np.empty_like(sim)
+            prop = popgcn.normalize_affinity(affinity, out=out)
+            assert prop.matrix is out
+            assert out.tobytes() == expected
+
+    @pytest.mark.parametrize("out", [np.zeros((4, 4), dtype=np.float32),
+                                     np.zeros((4, 5)), [[0.0] * 4] * 4])
+    def test_out_must_be_float64_of_the_shape(self, out):
+        rule = popgcn.EdgeRule("site", popgcn.EQUALITY)
+        with pytest.raises(GraphError, match=r"out must be a float64 array "
+                           r"of shape \(4, 4\)"):
+            popgcn.build_edge_matrix([1.0, 2.0, 1.0, 3.0], rule, out=out)
+
+
+class TestThreadedBuild:
+    @pytest.mark.parametrize("build", [popgcn.build_affinity_matrices,
+                                       popgcn.build_propagation_matrices])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_same_bytes_as_serial(self, monkeypatch, build, threads):
+        ds = _three_element_dataset()
+        monkeypatch.setattr(graph, "_build_threads", lambda n_elements: 1)
+        serial = build(ds)
+        monkeypatch.setattr(graph, "_build_threads",
+                            lambda n_elements: threads)
+        built = build(ds)
+        assert len(built) == len(serial) == 3
+        for a, b in zip(built, serial):
+            assert type(a) is type(b)
+            if isinstance(a, popgcn.AffinityMatrix):
+                assert a.element_name == b.element_name
+                a, b = a.weights, b.weights
+            else:
+                a, b = a.matrix, b.matrix
+            assert a.tobytes() == b.tobytes()
+
+    def test_more_threads_than_cores_switching_often(self, monkeypatch):
+        # the threads share the similarity matrix and the dataset, read only;
+        # a write through a shared array would show as changed bytes
+        ds = quick_dataset(n_nodes=70, noise_elements=tuple(
+            f"noise{k}" for k in range(7)))
+        monkeypatch.setattr(graph, "_build_threads", lambda n_elements: 1)
+        serial = popgcn.build_propagation_matrices(ds)
+        monkeypatch.setattr(graph, "_build_threads",
+                            lambda n_elements: n_elements)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                built = popgcn.build_propagation_matrices(ds)
+                assert [p.matrix.tobytes() for p in built] == \
+                    [p.matrix.tobytes() for p in serial]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    def test_one_thread_builds_in_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(graph, "_build_threads", lambda n_elements: 1)
+        seen = []
+        edges = graph.build_edge_matrix
+
+        def spy(*args, **kwargs):
+            seen.append(threading.current_thread())
+            return edges(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "build_edge_matrix", spy)
+        popgcn.build_propagation_matrices(quick_dataset())
+        assert seen == [threading.main_thread()] * 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_failing_rule_raises(self, monkeypatch, threads):
+        # both columns hold a value the edge stage refuses, in other rows
+        ds = quick_dataset(noise_elements=("noise", "site"))
+        ds.demographics[5, ds.element_index("noise")] = np.nan
+        ds.demographics[3, ds.element_index("site")] = np.inf
+        rules = [popgcn.EdgeRule("informative", popgcn.EQUALITY),
+                 popgcn.EdgeRule("site", popgcn.EQUALITY),
+                 popgcn.EdgeRule("noise", popgcn.THRESHOLD, 0.5)]
+        monkeypatch.setattr(graph, "_build_threads",
+                            lambda n_elements: threads)
+        before = threading.active_count()
+        with pytest.raises(GraphError) as err:
+            popgcn.build_propagation_matrices(ds, rules)
+        assert str(err.value) == "non-finite demographic value at row 3"
+        assert threading.active_count() == before
+
+    def test_threads_are_joined_so_folds_may_fork(self, monkeypatch,
+                                                  threaded_build):
+        before = threading.active_count()
+        popgcn.build_propagation_matrices(quick_dataset())
+        assert threading.active_count() == before == 1
+        monkeypatch.setattr(train, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(train.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
+        assert train._fold_workers(4) == 2
+
+    def test_peak_memory_is_one_array_per_element_plus_similarity(
+            self, threaded_build):
+        # the operators, the similarity matrix, one block of rows per build
+        # thread and copies of the features; the full-matrix normalization
+        # held about 5 N x N arrays at M=2
+        n, d = 1000, 20
+        ds = quick_dataset(n_nodes=n, n_features=d)
+        square, block = n * n * 8, graph._SYMMETRY_TILE * n * 8
+        bound = (ds.n_elements + 1) * square + 2 * block + 8 * n * d * 8
+        tracemalloc.start()
+        try:
+            props = popgcn.build_propagation_matrices(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(props) == ds.n_elements == 2
+        assert peak <= bound, (peak / square, bound / square)
 
 
 class TestGraphStatistics:
