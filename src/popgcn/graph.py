@@ -206,7 +206,8 @@ def similarity_matrix(features) -> np.ndarray:
             f"finite and positive; correlation undefined")
     sim = np.corrcoef(feats)
     # clip((sim + sim.T) / 2, 0, 1) in place, one tile and its mirror at a
-    # time; a + b == b + a, so both tiles get that formula's bits
+    # time, so that no N x N temporary adds to the build's peak memory;
+    # a + b == b + a, so both tiles get that formula's bits
     for rows, cols in _tile_pairs(sim.shape[0]):
         tile = np.clip((sim[rows, cols] + sim[cols, rows].T) / 2.0, 0.0, 1.0)
         sim[rows, cols] = tile
@@ -296,9 +297,14 @@ def _build_threads(n_elements: int) -> int:
 
     Every CPU this process may run on takes one element: the per-element
     stages are elementwise NumPy passes, which release the GIL and call no
-    BLAS.
+    BLAS. Where ``os.sched_getaffinity`` is missing (it is Linux-only), the
+    CPU count stands in.
     """
-    return min(n_elements, len(os.sched_getaffinity(0)))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(n_elements, cpus)
 
 
 def _element_graph(dataset: Dataset, sim, rule: EdgeRule, buffer,

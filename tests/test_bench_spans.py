@@ -92,7 +92,7 @@ def test_traced_baseline_counts_one_layer_span_per_layer(kind, serial_folds):
 
 
 def test_traced_threaded_build_counts_one_span_per_stage_call(
-        threaded_build):
+        monkeypatch, threaded_build):
     # the build threads call the stages through popgcn.graph's names, so the
     # patched ones: one similarity per build, one of each stage per element
     import popgcn
@@ -106,5 +106,10 @@ def test_traced_threaded_build_counts_one_span_per_stage_call(
     assert names.count("graph.similarity") == 1
     for stage in ("graph.edges", "graph.affinity", "graph.normalize"):
         assert names.count(stage) == ds.n_elements, stage
+    # the Tracer's counts take no lock, so the byte total is checked on a
+    # serial build only
+    monkeypatch.setattr(popgcn.graph, "_build_threads", lambda n_elements: 1)
+    with spans.Tracer().install() as tracer:
+        popgcn.build_propagation_matrices(ds)
     assert tracer.counts["graph.operator_bytes"] == \
         ds.n_elements * ds.n_nodes ** 2 * 8

@@ -593,6 +593,23 @@ class TestThreadedBuild:
         assert str(err.value) == "non-finite demographic value at row 3"
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("cpu_count", [None, 1, 4])
+    def test_builds_where_sched_getaffinity_is_missing(self, monkeypatch,
+                                                       cpu_count):
+        # macOS and Windows have no os.sched_getaffinity; the CPU count,
+        # which may be unknown, stands in for it
+        ds = _three_element_dataset()
+        monkeypatch.setattr(graph, "_build_threads", lambda n_elements: 1)
+        serial = [p.matrix.tobytes()
+                  for p in popgcn.build_propagation_matrices(ds)]
+        monkeypatch.undo()
+        monkeypatch.delattr(graph.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(graph.os, "cpu_count", lambda: cpu_count)
+        assert graph._build_threads(3) == min(3, cpu_count or 1)
+        assert [p.matrix.tobytes()
+                for p in popgcn.build_propagation_matrices(ds)] == serial
+        assert len(popgcn.build_affinity_matrices(ds)) == 3
+
     def test_threads_are_joined_so_folds_may_fork(self, monkeypatch,
                                                   threaded_build):
         before = threading.active_count()
