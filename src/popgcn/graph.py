@@ -56,11 +56,12 @@ class EdgeRule:
 _SYMMETRY_TILE = 256
 
 
-def _row_blocks(n: int):
-    """Slices of ``_SYMMETRY_TILE`` rows covering ``n`` rows: a check's
-    boolean mask or a scaling's operand is built one block at a time, never
-    N x N at once."""
-    return (slice(i, i + _SYMMETRY_TILE) for i in range(0, n, _SYMMETRY_TILE))
+def _row_blocks(n: int, start: int = 0):
+    """Slices of ``_SYMMETRY_TILE`` rows covering rows ``start`` to ``n``: a
+    check's boolean mask or a scaling's operand is built one block at a
+    time, never N x N at once."""
+    return (slice(i, i + _SYMMETRY_TILE)
+            for i in range(start, n, _SYMMETRY_TILE))
 
 
 def _any_rows(array: np.ndarray, test) -> bool:
@@ -82,8 +83,8 @@ def _tile_pairs(n: int):
     """``(rows, cols)`` slices of every tile on or above the diagonal of an
     n x n array; ``array[cols, rows]`` is the tile's mirror."""
     for rows in _row_blocks(n):
-        for j in range(rows.start, n, _SYMMETRY_TILE):
-            yield rows, slice(j, j + _SYMMETRY_TILE)
+        for cols in _row_blocks(n, rows.start):
+            yield rows, cols
 
 
 def _exactly_symmetric(array: np.ndarray) -> bool:
@@ -171,8 +172,10 @@ def build_edge_matrix(delta_column, rule: EdgeRule, *, out=None) -> np.ndarray:
     n = column.size
     edges = np.empty((n, n)) if out is None else _checked_out(out, (n, n))
     if rule.kind == THRESHOLD:
-        # one N x N buffer: the differences, their magnitudes, then 0.0/1.0
-        np.subtract(column[:, None], column[None, :], out=edges)
+        # one N x N buffer: the differences, their magnitudes, then 0.0/1.0;
+        # a difference that overflows is infinite, which rightly makes no edge
+        with np.errstate(over="ignore"):
+            np.subtract(column[:, None], column[None, :], out=edges)
         np.less(np.abs(edges, out=edges), rule.beta, out=edges)
     else:
         np.equal(column[:, None], column[None, :], out=edges)
@@ -180,7 +183,7 @@ def build_edge_matrix(delta_column, rule: EdgeRule, *, out=None) -> np.ndarray:
     return edges
 
 
-def similarity_matrix(features) -> np.ndarray:
+def similarity_matrix(features, *, scratch=None) -> np.ndarray:
     """Rectified Pearson correlation between subject feature rows.
 
     Entries are max(0, corr(X_i, X_j)): anti-correlated subjects disconnect
@@ -188,13 +191,32 @@ def similarity_matrix(features) -> np.ndarray:
     diagonal is exactly 1. A row whose centred sum of squares overflows, or
     underflows to zero, is refused: its correlations would read 0 or 1
     whatever the data.
+
+    The bits are those of ``np.clip((c + c.T) / 2, 0, 1)`` with ``c =
+    np.corrcoef(features)`` and a unit diagonal: the same product of the
+    centred rows, then the same elementwise steps in the same order, taken
+    one tile and its mirror at a time, in place, with each usable CPU
+    taking one block row of tiles at a time (see ``_build_threads``).
+
+    The centred rows are written into ``scratch``, a C-contiguous float64
+    array whose contents are lost, when it holds at least N x d items;
+    otherwise into a new array.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] < 2:
         raise GraphError("similarity needs at least 2 feature dimensions per row")
+    if scratch is not None and not (isinstance(scratch, np.ndarray)
+                                    and scratch.dtype == np.float64
+                                    and scratch.flags.c_contiguous):
+        raise GraphError("scratch must be a C-contiguous float64 array")
+    if scratch is None or scratch.size < feats.size:
+        centred = np.empty(feats.shape)
+    else:
+        centred = scratch.reshape(-1)[:feats.size].reshape(feats.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         spread = feats.max(axis=1) - feats.min(axis=1)
-        squares = np.square(feats - feats.mean(axis=1, keepdims=True)).sum(axis=1)
+        np.subtract(feats, feats.mean(axis=1, keepdims=True), out=centred)
+        squares = np.square(centred).sum(axis=1)
     flat = np.flatnonzero(spread == 0)
     if flat.size:
         raise GraphError(
@@ -204,16 +226,48 @@ def similarity_matrix(features) -> np.ndarray:
         raise GraphError(
             f"feature row {bad[0]} has a centred sum of squares that is not "
             f"finite and positive; correlation undefined")
-    sim = np.corrcoef(feats)
-    # clip((sim + sim.T) / 2, 0, 1) in place, one tile and its mirror at a
-    # time, so that no N x N temporary adds to the build's peak memory;
-    # a + b == b + a, so both tiles get that formula's bits
-    for rows, cols in _tile_pairs(sim.shape[0]):
-        tile = np.clip((sim[rows, cols] + sim[cols, rows].T) / 2.0, 0.0, 1.0)
-        sim[rows, cols] = tile
-        sim[cols, rows] = tile.T
+    sim = centred @ centred.T  # np.corrcoef's product
+    del centred
+    scale = 1.0 / (feats.shape[1] - 1)
+    std = np.sqrt(np.diagonal(sim) * scale)
+    blocks = list(_row_blocks(len(sim)))
+    # one tile per block of rows for its diagonal tile's sum, allocated
+    # here: a thread's malloc arena would keep what the thread allocates
+    tile = min(_SYMMETRY_TILE, len(sim))
+    sums = np.empty((len(blocks), tile, tile))
+    _in_threads(_correlate_block_row,
+                [(sim, std, scale, rows, total)
+                 for rows, total in zip(blocks, sums)])
     np.fill_diagonal(sim, 1.0)
     return sim
+
+
+def _to_correlation(part, std, scale, rows, cols) -> None:
+    """np.corrcoef's steps on the covariance tile ``part``, in place."""
+    part *= scale
+    part /= std[rows, None]
+    part /= std[None, cols]
+    np.clip(part, -1.0, 1.0, out=part)
+
+
+def _correlate_block_row(sim, std, scale, rows, diagonal_sum) -> None:
+    """Turn the tiles of ``sim``, the product of the centred features, in
+    block row ``rows`` on or above the diagonal, and their mirrors, into
+    clip((corr + corr.T) / 2, 0, 1). Block rows touch disjoint tiles, so
+    they may run in parallel. The diagonal tile, its own mirror, is summed
+    into ``diagonal_sum``."""
+    for cols in _row_blocks(len(sim), rows.start):
+        upper, lower = sim[rows, cols], sim[cols, rows]
+        _to_correlation(upper, std, scale, rows, cols)
+        if cols == rows:
+            n = len(upper)
+            total = np.add(upper, upper.T, out=diagonal_sum[:n, :n])
+        else:
+            _to_correlation(lower, std, scale, cols, rows)
+            total = np.add(upper, lower.T, out=upper)
+        total /= 2.0
+        np.clip(total, 0.0, 1.0, out=total)
+        lower[...] = total.T
 
 
 def build_affinity(sim, edges, element_name: str = "", *,
@@ -292,51 +346,107 @@ def rules_or_defaults(dataset: Dataset, rules) -> list[EdgeRule]:
     return list(rules) if rules else default_edge_rules(dataset)
 
 
-def _build_threads(n_elements: int) -> int:
-    """Threads to build ``n_elements`` graphs in; 1 means the calling thread.
-
-    Every CPU this process may run on takes one element: the per-element
-    stages are elementwise NumPy passes, which release the GIL and call no
-    BLAS. Where ``os.sched_getaffinity`` is missing (it is Linux-only), the
-    CPU count stands in.
-    """
+def _usable_cpus() -> int:
+    """CPUs this process may run on. Where ``os.sched_getaffinity`` is
+    missing (it is Linux-only), the machine's CPU count stands in."""
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(n_elements, cpus)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _build_threads(n_jobs: int) -> int:
+    """Threads to run ``n_jobs`` independent graph-build jobs in (element
+    graphs, or block rows of the similarity); 1 means the calling thread.
+
+    Every usable CPU takes one job: the jobs are elementwise NumPy passes,
+    which release the GIL and call no BLAS.
+    """
+    return min(n_jobs, _usable_cpus())
+
+
+def _in_threads(fn, jobs) -> None:
+    """``fn(*job)`` for every job, in up to ``_build_threads`` threads, all
+    joined before it returns."""
+    threads = _build_threads(len(jobs))
+    if threads <= 1:
+        for job in jobs:
+            fn(*job)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # import popgcn stays lean
+    with ThreadPoolExecutor(threads) as pool:
+        for future in [pool.submit(fn, *job) for job in jobs]:
+            future.result()
+
+
+def _edges(dataset: Dataset, rule: EdgeRule, buffer) -> np.ndarray:
+    """``rule``'s edge matrix, built in ``buffer``."""
+    column = dataset.demographics[:, dataset.element_index(rule.element)]
+    return build_edge_matrix(column, rule, out=buffer)
+
+
+def _edges_in_order(dataset: Dataset, rules, buffers) -> list:
+    """``_edges`` of each rule in turn; the first failing rule raises."""
+    return [_edges(dataset, rule, buffer)
+            for rule, buffer in zip(rules, buffers)]
+
+
+def _weighted(sim, rule: EdgeRule, edges, normalize: bool):
+    """The affinity of ``edges``, or with ``normalize`` its operator, each
+    written over ``edges``."""
+    affinity = build_affinity(sim, edges, rule.element, out=edges)
+    return normalize_affinity(affinity, out=edges) if normalize else affinity
 
 
 def _element_graph(dataset: Dataset, sim, rule: EdgeRule, buffer,
                    normalize: bool):
     """One element's affinity, or with ``normalize`` its operator, built in
     ``buffer``: each stage overwrites the one before."""
-    column = dataset.demographics[:, dataset.element_index(rule.element)]
-    edges = build_edge_matrix(column, rule, out=buffer)
-    affinity = build_affinity(sim, edges, rule.element, out=buffer)
-    return normalize_affinity(affinity, out=buffer) if normalize else affinity
+    return _weighted(sim, rule, _edges(dataset, rule, buffer), normalize)
 
 
 def _build_graphs(dataset: Dataset, rules, normalize: bool) -> list:
-    """``_element_graph`` of every rule, in rule order, in up to
-    ``_build_threads`` threads. An error is the one a serial build raises:
-    the first failing rule's. Rules not yet started then stay unbuilt."""
-    sim = similarity_matrix(dataset.features)
-    rules = rules_or_defaults(dataset, rules)
+    """``_element_graph`` of every rule, in rule order.
+
+    The last element's buffer holds the similarity's centred feature rows
+    until the similarity returns. With ``_build_threads`` above 1, the pool
+    builds the edges of the other rules while this thread computes the
+    similarity's product, since edges never read the similarity; then the
+    pool weights those edges while this thread builds the last element. An
+    error is the one a serial build raises: the similarity's, then the
+    default rules', then the first failing rule's. Rules not yet started
+    then stay unbuilt.
+    """
+    try:
+        rules = rules_or_defaults(dataset, rules)
+    except DataError:
+        similarity_matrix(dataset.features)  # a serial build fails here first
+        raise
     n = dataset.n_nodes
     # Every N x N buffer comes from this thread. A thread that allocates its
     # own keeps the freed memory in its malloc arena, which raised the peak
     # RSS above that of a serial build.
-    jobs = [(dataset, sim, rule, np.empty((n, n)), normalize)
-            for rule in rules]
-    threads = _build_threads(len(jobs))
+    buffers = [np.empty((n, n)) for _ in rules]
+    threads = _build_threads(len(rules))
     if threads <= 1:
-        return [_element_graph(*job) for job in jobs]
+        sim = similarity_matrix(dataset.features,
+                                scratch=buffers[-1] if buffers else None)
+        return [_element_graph(dataset, sim, rule, buffer, normalize)
+                for rule, buffer in zip(rules, buffers)]
     from concurrent.futures import ThreadPoolExecutor  # import popgcn stays lean
     pool = ThreadPoolExecutor(threads)
     try:
-        futures = [pool.submit(_element_graph, *job) for job in jobs]
-        return [future.result() for future in futures]
+        *first, last = rules
+        # the edges take every thread but one, whose CPU the product takes
+        size = -(-len(first) // (threads - 1))
+        early = [pool.submit(_edges_in_order, dataset, first[i:i + size],
+                             buffers[i:i + size])
+                 for i in range(0, len(first), size)]
+        sim = similarity_matrix(dataset.features, scratch=buffers[-1])
+        edges = [matrix for future in early for matrix in future.result()]
+        futures = [pool.submit(_weighted, sim, rule, matrix, normalize)
+                   for rule, matrix in zip(first, edges)]
+        graph = _element_graph(dataset, sim, last, buffers[-1], normalize)
+        return [future.result() for future in futures] + [graph]
     finally:
         # joins every thread, so that folds may still fork after the build
         pool.shutdown(cancel_futures=True)

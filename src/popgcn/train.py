@@ -5,7 +5,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
-import os
 import threading
 import time
 from dataclasses import asdict, dataclass, replace
@@ -13,7 +12,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .data import DataError, Dataset, _check_fields, stratified_kfold
-from .graph import EdgeRule, build_propagation_matrices, rules_or_defaults
+from .graph import (EdgeRule, _usable_cpus, build_propagation_matrices,
+                    rules_or_defaults)
 from .model import (ModelParams, class_weights, compute_gradients, init_params,
                     model_forward, weighted_cross_entropy)
 
@@ -356,7 +356,7 @@ def _fold_workers(n_jobs: int) -> int:
     threads = _blas_threads()
     if not threads:
         return 1
-    return max(1, min(n_jobs, len(os.sched_getaffinity(0)) // threads))
+    return max(1, min(n_jobs, _usable_cpus() // threads))
 
 
 def _fold_entry(dataset: Dataset, props, config: TrainConfig, fold,

@@ -480,6 +480,11 @@ class TestSynthCommand:
 
 
 class TestCvCommand:
+    def test_one_subject_is_one_error_line(self, tmp_path, capsys):
+        assert main(["cv", "--config", _one_subject_config(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_report_written_and_deterministic(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out_a = tmp_path / "a.json"
@@ -666,7 +671,24 @@ class TestCvCommand:
         assert exc.value.code == 2
 
 
+def _one_subject_config(tmp_path) -> str:
+    ds = popgcn.Dataset(np.array([[1.0, 2.0, 4.0]]), [0], np.array([[3.0]]),
+                        ("e",), 2)
+    paths = popgcn.save_dataset(ds, tmp_path / "data")
+    return write_config(tmp_path, data={
+        key: str(path) for key, path in paths.items()})
+
+
 class TestGraphStatsCommand:
+    def test_one_subject(self, tmp_path, capsys):
+        # np.corrcoef's 0-d result for one row ended this in an IndexError
+        assert main(["graph-stats", "--config",
+                     _one_subject_config(tmp_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"n_nodes": 1, "graphs": [{
+            "element": "e", "n_nodes": 1, "edge_count": 0, "density": 0.0,
+            "degree_histogram": [1]}]}
+
     def test_stats_structure(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["graph-stats", "--config", config]) == 0
@@ -720,9 +742,9 @@ class TestCompareCommand:
         calls = []
         original = popgcn.graph.similarity_matrix
 
-        def counted(features):
+        def counted(features, **kwargs):
             calls.append(1)
-            return original(features)
+            return original(features, **kwargs)
 
         monkeypatch.setattr(popgcn.graph, "similarity_matrix", counted)
         out = tmp_path / "compare.json"

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -87,6 +88,13 @@ class TestBuildEdgeMatrix:
         rule = popgcn.EdgeRule("site", popgcn.EQUALITY)
         with pytest.raises(GraphError, match="row 2"):
             popgcn.build_edge_matrix([1.0, 2.0, np.nan], rule)
+
+    def test_overflowing_gap_is_no_edge_and_no_warning(self):
+        # 1e308 - (-1e308) overflows to inf, a gap no beta bridges; tier-1
+        # turns the RuntimeWarning the subtraction printed into a failure
+        rule = popgcn.EdgeRule("s", popgcn.THRESHOLD, 1.0)
+        edges = popgcn.build_edge_matrix([1e308, -1e308, 0.0], rule)
+        assert edges.tobytes() == np.zeros((3, 3)).tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(values=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=12),
@@ -189,6 +197,12 @@ class TestSimilarityMatrix:
         with pytest.raises(GraphError, match="at least 2"):
             popgcn.similarity_matrix([[1.], [2.]])
 
+    def test_one_row_is_its_own_perfect_match(self):
+        # np.corrcoef squeezes one row's 1 x 1 result to a 0-d array
+        sim = popgcn.similarity_matrix([[1., 2., 4.]])
+        assert sim.dtype == np.float64
+        assert sim.tobytes() == np.ones((1, 1)).tobytes()
+
     # x 1e300 overflows the row's centred sum of squares, which zeroed its
     # every similarity; x 1e-320 underflows it to 0, which gave 1.0 to
     # another subject. Tier-1 fails on the RuntimeWarnings either printed.
@@ -206,6 +220,33 @@ class TestSimilarityMatrix:
         feats[3] = 2.0
         with pytest.raises(GraphError, match="feature row 3 is constant"):
             popgcn.similarity_matrix(feats)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_bits_whatever_the_thread_count(self, monkeypatch, threads):
+        # three block rows of tiles, finished in 1 to 3 threads
+        feats = np.random.default_rng(4).standard_normal((2 * TILE + 3, 9))
+        sim = np.corrcoef(feats)
+        expected = np.clip((sim + sim.T) / 2.0, 0.0, 1.0)
+        np.fill_diagonal(expected, 1.0)
+        monkeypatch.setattr(graph, "_build_threads",
+                            lambda n_jobs: min(n_jobs, threads))
+        assert popgcn.similarity_matrix(feats).tobytes() == expected.tobytes()
+
+    def test_walk_in_more_threads_than_cores_switching_often(
+            self, monkeypatch):
+        # six block rows in six threads write disjoint tiles of one array;
+        # a write through another thread's tile would change the bytes
+        feats = np.random.default_rng(6).standard_normal((5 * TILE + 7, 9))
+        monkeypatch.setattr(graph, "_build_threads", lambda n_jobs: 1)
+        serial = popgcn.similarity_matrix(feats).tobytes()
+        monkeypatch.setattr(graph, "_build_threads", lambda n_jobs: n_jobs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert popgcn.similarity_matrix(feats).tobytes() == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("n", [3, TILE, TILE + 1, 2 * TILE + 3])
     def test_bits_of_the_full_matrix_formula(self, n):
@@ -473,6 +514,11 @@ def _three_element_dataset(n_nodes=TILE + 1):
     return ds
 
 
+def _graph_bytes(graphs) -> list:
+    return [(g.weights if isinstance(g, popgcn.AffinityMatrix)
+             else g.matrix).tobytes() for g in graphs]
+
+
 class TestOutArguments:
     @pytest.fixture
     def parts(self):
@@ -610,13 +656,92 @@ class TestThreadedBuild:
                 for p in popgcn.build_propagation_matrices(ds)] == serial
         assert len(popgcn.build_affinity_matrices(ds)) == 3
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_constant_feature_row_named_before_an_overflowing_column(
+            self, monkeypatch, threads):
+        # a serial build computes the similarity before it resolves the
+        # default rules; resolving them first named the column instead
+        ds = _three_element_dataset()
+        ds.features[3] = 2.0
+        noise = ds.demographics[:, ds.element_index("noise")]
+        noise[2], noise[5] = 1e308, -1e308
+        with pytest.raises(GraphError, match="element 'noise': the standard"):
+            popgcn.default_edge_rules(ds)
+        monkeypatch.setattr(graph, "_build_threads",
+                            lambda n_jobs: min(n_jobs, threads))
+        for build in (popgcn.build_affinity_matrices,
+                      popgcn.build_propagation_matrices):
+            with pytest.raises(GraphError) as err:
+                build(ds)
+            assert str(err.value) == ("feature row 3 is constant; "
+                                      "correlation undefined")
+
+    @pytest.mark.parametrize("slow, first", [
+        ("similarity_matrix", ["build_edge_matrix"] * 2 + [
+            "similarity_matrix"]),
+        ("build_edge_matrix", ["similarity_matrix"]),
+    ], ids=["edges-finish-first", "similarity-finishes-first"])
+    @pytest.mark.parametrize("build", [popgcn.build_affinity_matrices,
+                                       popgcn.build_propagation_matrices])
+    def test_same_bytes_whichever_stage_finishes_first(self, monkeypatch,
+                                                       build, slow, first):
+        ds = _three_element_dataset()
+        monkeypatch.setattr(graph, "_build_threads", lambda n_jobs: 1)
+        serial = _graph_bytes(build(ds))
+        monkeypatch.setattr(graph, "_build_threads", lambda n_jobs: 2)
+        finished = []
+
+        def stage(name):
+            original = getattr(graph, name)
+
+            def timed(*args, **kwargs):
+                if name == slow:
+                    time.sleep(0.1)
+                result = original(*args, **kwargs)
+                finished.append(name)
+                return result
+            return timed
+
+        for name in ("similarity_matrix", "build_edge_matrix"):
+            monkeypatch.setattr(graph, name, stage(name))
+        assert _graph_bytes(build(ds)) == serial
+        # the edges of every rule but the last build while the similarity
+        # does: the last rule's buffer holds its centred feature rows
+        assert finished[:len(first)] == first
+        assert sorted(finished) == ["build_edge_matrix"] * 3 + [
+            "similarity_matrix"]
+
+    def test_no_thread_left_when_the_similarity_fails_during_edges(
+            self, monkeypatch, threaded_build):
+        ds = _three_element_dataset()
+        ds.features[4] = 1.0
+        edges, similarity = graph.build_edge_matrix, graph.similarity_matrix
+        running = threading.Event()
+
+        def slow_edges(*args, **kwargs):
+            running.set()
+            time.sleep(0.2)
+            return edges(*args, **kwargs)
+
+        def similarity_while_edges_run(features, **kwargs):
+            assert running.wait(5.0)
+            return similarity(features, **kwargs)
+
+        monkeypatch.setattr(graph, "build_edge_matrix", slow_edges)
+        monkeypatch.setattr(graph, "similarity_matrix",
+                            similarity_while_edges_run)
+        before = threading.active_count()
+        with pytest.raises(GraphError, match="feature row 4 is constant"):
+            popgcn.build_propagation_matrices(ds)
+        assert threading.active_count() == before
+
     def test_threads_are_joined_so_folds_may_fork(self, monkeypatch,
                                                   threaded_build):
         before = threading.active_count()
         popgcn.build_propagation_matrices(quick_dataset())
         assert threading.active_count() == before == 1
         monkeypatch.setattr(train, "_blas_threads", lambda: 1)
-        monkeypatch.setattr(train.os, "sched_getaffinity",
+        monkeypatch.setattr(graph.os, "sched_getaffinity",
                             lambda pid: {0, 1})
         assert train._fold_workers(4) == 2
 

@@ -677,6 +677,16 @@ class TestFoldWorkers:
             monkeypatch.setattr(threading, "active_count", lambda: 1)
         return make
 
+    def test_cpu_count_stands_in_where_sched_getaffinity_is_missing(
+            self, host, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        host(cpus=8, threads=1)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert train_mod._fold_workers(10) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert train_mod._fold_workers(10) == 1
+
     @pytest.mark.parametrize("cpus, threads, folds, workers", [
         (8, 1, 3, 3),    # capped at the folds
         (8, 1, 10, 8),   # capped at the CPUs
