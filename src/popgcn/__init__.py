@@ -5,8 +5,8 @@ demographic element, one graph-convolution branch per graph, branch logits
 fused by trainable scalar attention weights.
 """
 
-from .baselines import (BaselineKind, averaged_propagation,
-                        identity_propagation, run_baseline_cv)
+from .baselines import (BaselineKind, averaged_propagation, baseline_run,
+                        identity_propagation, run_baseline_cv, subset_runs)
 from .data import (DataError, Dataset, FoldSplit, SynthConfig,
                    generate_synthetic, load_dataset, save_dataset,
                    stratified_kfold)
@@ -21,7 +21,7 @@ from .model import (ForwardTrace, ModelParams, class_weights, compute_gradients,
                     softmax_rows, weighted_cross_entropy)
 from .train import (Adam, CVReport, TrainConfig, TrainedModel, TrainingError,
                     accuracy, config_to_dict, confusion_matrix,
-                    cv_folds_and_seeds, evaluate, run_cv, split_hash,
-                    train_model)
+                    cross_validate, cv_folds_and_seeds, evaluate, run_cv,
+                    split_hash, train_model)
 
 __version__ = "0.1.0"

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import replace
 from enum import Enum
 
-from .data import Dataset
+from .data import DataError, Dataset
 from .graph import (AffinityMatrix, GraphError, PropagationMatrix,
-                    build_affinity_matrices, normalize_affinity)
-from .train import TrainConfig, _cross_validate
+                    build_affinity_matrices, normalize_affinity,
+                    rules_or_defaults)
+from .train import TrainConfig, cross_validate
 
 
 class BaselineKind(Enum):
@@ -47,15 +48,14 @@ def averaged_propagation(affinities) -> PropagationMatrix:
         AffinityMatrix(weights=total, element_name="averaged"))
 
 
-def _baseline_run(dataset: Dataset, config: TrainConfig, kind: BaselineKind,
-                  averaged: PropagationMatrix | None = None):
-    """The (config, props) run that cross-validates ``kind``: see
-    ``run_baseline_cv``."""
+def baseline_run(dataset: Dataset, config: TrainConfig, kind: BaselineKind,
+                 averaged: PropagationMatrix | None = None):
+    """The ``cross_validate`` run of ``kind``. ``avg_gcn`` runs on
+    ``averaged``, the ``averaged_propagation`` of the element graphs of
+    ``config.edge_rules``, built here when omitted."""
     if kind is BaselineKind.AVERAGED_GRAPH_GCN:
-        prop = averaged
-        if prop is None:
-            prop = averaged_propagation(
-                build_affinity_matrices(dataset, config.edge_rules))
+        prop = averaged or averaged_propagation(
+            build_affinity_matrices(dataset, config.edge_rules))
     else:
         prop = identity_propagation(dataset.n_nodes)
     if kind is BaselineKind.LINEAR:
@@ -63,15 +63,36 @@ def _baseline_run(dataset: Dataset, config: TrainConfig, kind: BaselineKind,
     return config, [prop]
 
 
-def run_baseline_cv(dataset: Dataset, config: TrainConfig, kind: BaselineKind,
-                    averaged: PropagationMatrix | None = None) -> dict:
-    """Cross-validate one baseline on the same folds and seeds as the model.
-
-    ``avg_gcn`` runs on ``averaged``, the ``averaged_propagation`` of the
-    element graphs of ``config.edge_rules`` (empty: the per-element
-    defaults); it is built here when omitted. The result is the ``run_cv``
-    report of the baseline's config and operator, with ``kind`` added.
-    """
-    report, = _cross_validate(
-        dataset, [_baseline_run(dataset, config, kind, averaged)])
+def run_baseline_cv(dataset: Dataset, config: TrainConfig,
+                    kind: BaselineKind) -> dict:
+    """The report of ``baseline_run``, on the model's folds and seeds, with
+    ``kind`` added."""
+    report, = cross_validate(dataset, [baseline_run(dataset, config, kind)])
     return {"kind": kind.value, **report.to_dict()}
+
+
+def subset_runs(dataset: Dataset, config: TrainConfig, props, subsets) -> dict:
+    """The ``cross_validate`` run of each graph subset by its key, the
+    subset's element names in dataset order joined with "+": ``config`` on
+    the subset's rules of ``rules_or_defaults`` and their slice of
+    ``props``, the operators of those rules in order. The subset of every
+    rule in rule order maps to None, the run ``(config, props)``. A refusal
+    is a ``DataError`` on ``subsets``."""
+    rules = rules_or_defaults(dataset, config.edge_rules)
+    position = {rule.element: i for i, rule in enumerate(rules)}
+    runs = {}
+    for subset in subsets:
+        if not subset:
+            raise DataError("empty graph subset", "subsets")
+        for name in subset:
+            if name not in position:
+                raise DataError(f"unknown element {name!r}", "subsets")
+        picks = [position[name] for name in dataset.element_names
+                 if name in subset]
+        key = "+".join(rules[i].element for i in picks)
+        if key in runs:
+            raise DataError(f"repeated subset {key!r}", "subsets")
+        runs[key] = None if picks == list(range(len(rules))) else (
+            replace(config, edge_rules=tuple(rules[i] for i in picks)),
+            [props[i] for i in picks])
+    return runs

@@ -16,14 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineKind, _baseline_run, averaged_propagation
+from .baselines import (BaselineKind, averaged_propagation, baseline_run,
+                        subset_runs)
 from .data import (DataError, Dataset, SynthConfig, _typed,
                    generate_synthetic, load_dataset, save_dataset)
 from .graph import (EdgeRule, GraphError, build_affinity_matrices,
                     build_propagation_matrices, default_edge_rules,
                     graph_statistics, normalize_affinity, rules_or_defaults)
 from .model import finite_diff_check, init_params
-from .train import TrainConfig, TrainingError, _cross_validate
+from .train import TrainConfig, TrainingError, cross_validate
 
 GRADCHECK_TOLERANCE = 1e-5
 
@@ -199,67 +200,22 @@ def resolve_edge_rules(dataset: Dataset, overrides) -> list[EdgeRule]:
     return list(rules.values())
 
 
-def _resolve_subsets(dataset: Dataset, rules, subsets) -> dict:
-    """Map each subset's report key to the positions of its rules in
-    ``rules``; the key joins the names in dataset element order with "+"."""
-    position = {rule.element: i for i, rule in enumerate(rules)}
-    resolved = {}
-    for subset in subsets:
-        if not subset:
-            raise ConfigError("compare.subsets", "empty graph subset")
-        for name in subset:
-            if name not in position:
-                raise ConfigError("compare.subsets",
-                                  f"unknown element {name!r}")
-        names = [name for name in dataset.element_names if name in set(subset)]
-        key = "+".join(names)
-        if key in resolved:
-            raise ConfigError("compare.subsets", f"repeated subset {key!r}")
-        resolved[key] = [position[name] for name in names]
-    return resolved
-
-
-def _subset_runs(config: TrainConfig, rules, props, resolved,
-                 skip_full: bool = True) -> dict:
-    """The (config, props) run of each subset of ``resolved``: ``config`` on
-    the subset's rules and their operators of ``props``. With
-    ``skip_full``, the subset of every rule in order is left out: its run
-    is that of ``config`` itself."""
-    full = list(range(len(rules)))
-    return {key: (replace(config, edge_rules=tuple(rules[i] for i in chosen)),
-                  [props[i] for i in chosen])
-            for key, chosen in resolved.items()
-            if not (skip_full and chosen == full)}
-
-
-def ablate_graph_subsets(dataset: Dataset, config: TrainConfig, subsets,
-                         props=None, full_report=None) -> dict:
-    """Cross-validate the model restricted to each requested graph subset.
-
-    Subsets are lists of element names, all checked before any training;
-    keys of the returned mapping join the names in dataset element order
-    with "+". All subsets share the fold splits and per-fold seeds of
-    ``config.seed``. Each subset trains on its slice of ``props``, the
-    operators of the config's resolved edge rules (built here when omitted).
-    A subset of every rule in order is the run of ``config`` itself: its
-    report is ``full_report`` when one is given.
-    """
+def ablate_graph_subsets(dataset: Dataset, config: TrainConfig,
+                         subsets) -> dict:
+    """Each subset's report by its key: the ``subset_runs`` runs trained in
+    one ``cross_validate`` call, every subset checked before any build."""
     rules = rules_or_defaults(dataset, config.edge_rules)
-    resolved = _resolve_subsets(dataset, rules, subsets)
-    if props is None:
-        props = build_propagation_matrices(dataset, rules)
-    runs = _subset_runs(config, rules, props, resolved,
-                        skip_full=full_report is not None)
-    reports = _cross_validate(dataset, list(runs.values()))
-    by_key = {key: report.to_dict() for key, report in zip(runs, reports)}
-    return {key: by_key.get(key, full_report) for key in resolved}
+    subset_runs(dataset, config, [None] * len(rules), subsets)  # refuse early
+    props = build_propagation_matrices(dataset, rules)
+    runs = subset_runs(dataset, config, props, subsets)
+    reports = cross_validate(
+        dataset, [run or (config, props) for run in runs.values()])
+    return {key: report.to_dict() for key, report in zip(runs, reports)}
 
 
 def _default_subsets(dataset: Dataset) -> list[list[str]]:
-    singletons = [[name] for name in dataset.element_names]
-    if dataset.n_elements > 1:
-        return singletons + [list(dataset.element_names)]
-    return singletons
+    names = list(dataset.element_names)
+    return [[name] for name in names] + ([names] if len(names) > 1 else [])
 
 
 def _write_report(report: dict, out_path: str | None) -> str:
@@ -334,11 +290,11 @@ def cmd_graph_stats(args) -> int:
 
 
 def _cv_reports(dataset: Dataset, runs) -> list[dict]:
-    """``_cross_validate`` of ``runs`` as report dicts. A class with fewer
+    """``cross_validate`` of ``runs`` as report dicts. A class with fewer
     members than the fold count is named as ``train.folds``, which
     ``--folds`` also sets."""
     try:
-        return [report.to_dict() for report in _cross_validate(dataset, runs)]
+        return [report.to_dict() for report in cross_validate(dataset, runs)]
     except DataError as err:
         if err.field != "k":  # stratified_kfold's class-count rule
             raise
@@ -358,35 +314,37 @@ def cmd_cv(args) -> int:
 
 def cmd_compare(args) -> int:
     """The proposed model, each baseline and each graph subset, every fold
-    of every method trained through one ``_cross_validate`` call, so that
+    of every method trained through one ``cross_validate`` call, so that
     they share one split and at most one pool of fold workers."""
     run, dataset, config = _set_up(args)
     subsets = (_default_subsets(dataset) if run.subsets is None
                else run.subsets)
-    rules = config.edge_rules
-    resolved = _resolve_subsets(dataset, rules, subsets)  # fail early
-    affinities = build_affinity_matrices(dataset, rules)
+    # refuse a bad subset before any build; None stands in for each operator
+    _checked("compare", subset_runs, dataset, config,
+             [None] * len(config.edge_rules), subsets)
+    affinities = build_affinity_matrices(dataset, config.edge_rules)
     props = [normalize_affinity(a) for a in affinities]
     # only avg_gcn reads the affinities: keep their average, not them
     averaged = (averaged_propagation(affinities)
                 if "avg_gcn" in run.baselines else None)
     del affinities
     # the full subset is the proposed run itself and reuses its report
-    ablated = _subset_runs(config, rules, props, resolved)
+    ablated = subset_runs(dataset, config, props, subsets)
     runs = [(config, props),
-            *(_baseline_run(dataset, config, BaselineKind(name), averaged)
+            *(baseline_run(dataset, config, BaselineKind(name), averaged)
               for name in run.baselines),
-            *ablated.values()]
+            *filter(None, ablated.values())]
     proposed, *reports = _cv_reports(dataset, runs)
     baselines = {name: {"kind": name, **section}
                  for name, section in zip(run.baselines, reports)}
-    by_key = dict(zip(ablated, reports[len(run.baselines):]))
+    trained = iter(reports[len(run.baselines):])
     report = {
         "config": proposed["config"],
         "split_hash": proposed["split_hash"],
         "proposed": proposed,
         "baselines": baselines,
-        "subsets": {key: by_key.get(key, proposed) for key in resolved},
+        "subsets": {key: proposed if entry is None else next(trained)
+                    for key, entry in ablated.items()},
     }
     tail = _write_report(report, run.out)
     ranked = {name: entry["mean_acc"] for name, entry in baselines.items()}

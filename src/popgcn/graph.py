@@ -8,7 +8,10 @@ by the graph-convolution layers.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,7 @@ EQUALITY = "equality"
 AGE_BETA = 2.0
 CONTINUOUS_BETA_FACTOR = 0.5
 MAX_CATEGORICAL_LEVELS = 10
+_BLAS_PIN = threading.Lock()  # held while OpenBLAS is pinned to one thread
 
 
 class GraphError(DataError):
@@ -200,7 +204,8 @@ def similarity_matrix(features, *, scratch=None) -> np.ndarray:
 
     The centred rows are written into ``scratch``, a C-contiguous float64
     array whose contents are lost, when it holds at least N x d items;
-    otherwise into a new array.
+    otherwise into a new array. The product runs on one OpenBLAS thread,
+    so the bits do not depend on the BLAS thread setting.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] < 2:
@@ -226,7 +231,7 @@ def similarity_matrix(features, *, scratch=None) -> np.ndarray:
         raise GraphError(
             f"feature row {bad[0]} has a centred sum of squares that is not "
             f"finite and positive; correlation undefined")
-    sim = centred @ centred.T  # np.corrcoef's product
+    sim = _one_blas_thread(np.matmul, centred, centred.T)  # corrcoef's
     del centred
     scale = 1.0 / (feats.shape[1] - 1)
     std = np.sqrt(np.diagonal(sim) * scale)
@@ -240,6 +245,43 @@ def similarity_matrix(features, *, scratch=None) -> np.ndarray:
                  for rows, total in zip(blocks, sums)])
     np.fill_diagonal(sim, 1.0)
     return sim
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the loaded OpenBLAS, or
+    None when none is loaded or it cannot be asked; found on first use."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = sorted({line.split()[-1] for line in handle
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            if get is not None:  # ctypes's default int types fit both
+                return get, getattr(lib, name.format("set"))
+    return None
+
+
+def _one_blas_thread(fn, *args):
+    """``fn(*args)`` with OpenBLAS, when found, on one thread, then its count
+    restored: a product's rounding depends on how many threads share it.
+    Calls take turns, or one could restore the one thread another set."""
+    get, put = _openblas() or (lambda: None, lambda threads: None)
+    with _BLAS_PIN:
+        threads = get()
+        put(1)
+        try:
+            return fn(*args)
+        finally:
+            put(threads)
 
 
 def _to_correlation(part, std, scale, rows, cols) -> None:

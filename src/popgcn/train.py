@@ -12,17 +12,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .data import DataError, Dataset, _check_fields, stratified_kfold
-from .graph import (EdgeRule, _usable_cpus, build_propagation_matrices,
-                    rules_or_defaults)
+from .graph import (EdgeRule, _openblas, _usable_cpus,
+                    build_propagation_matrices, rules_or_defaults)
 from .model import (ModelParams, class_weights, compute_gradients, init_params,
                     model_forward, weighted_cross_entropy)
-
-__all__ = [
-    "TrainConfig", "TrainedModel", "CVReport", "TrainingError", "Adam",
-    "accuracy", "confusion_matrix", "class_weights", "train_model", "evaluate",
-    "run_cv", "cv_folds_and_seeds", "split_hash", "config_to_dict",
-]
-
 
 class TrainingError(RuntimeError):
     """Training diverged or was configured inconsistently."""
@@ -316,26 +309,8 @@ class CVReport:
 def _blas_threads() -> int | None:
     """Threads the loaded OpenBLAS library will use; None when no OpenBLAS
     is loaded or it cannot be asked."""
-    try:
-        with open("/proc/self/maps") as handle:
-            paths = {line.split()[-1] for line in handle
-                     if "openblas" in line.lower() and ".so" in line}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_",
-                       "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            getter = getattr(lib, symbol, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                getter.argtypes = []
-                return int(getter())
-    return None
+    blas = _openblas()
+    return None if blas is None else blas[0]()
 
 
 def _fold_workers(n_jobs: int) -> int:
@@ -413,7 +388,9 @@ def _worker_fold_entry(index: int) -> dict:
 def _result(future):
     """``future.result()``, waited for in steps of 0.2 s: a SIGINT that
     lands on another thread, or just before a wait begins, does not cut the
-    wait short, and Python raises it at the next step."""
+    wait short, and Python raises it at the next step. That thread may be
+    a joined graph-build thread not yet gone, which ``threading`` no longer
+    counts but which takes a SIGINT blocked in this one."""
     from concurrent.futures import TimeoutError  # not the builtin before 3.11
     while True:
         try:
@@ -482,7 +459,7 @@ def _map_folds(dataset: Dataset, jobs) -> list:
                 signal.signal(signal.SIGINT, signal.default_int_handler)
 
 
-def _cross_validate(dataset: Dataset, runs) -> list[CVReport]:
+def cross_validate(dataset: Dataset, runs) -> list[CVReport]:
     """Train each (config, props) run of ``runs`` on every fold of its
     config's split and score it: one report per run, in their order.
 
@@ -533,5 +510,5 @@ def run_cv(dataset: Dataset, config: TrainConfig, props=None) -> CVReport:
     elif len(props) != len(rules):
         raise ValueError(f"{len(props)} propagation matrices for "
                          f"{len(rules)} edge rules")
-    report, = _cross_validate(dataset, [(config, props)])
+    report, = cross_validate(dataset, [(config, props)])
     return report

@@ -228,3 +228,43 @@ class TestBaselineCV:
                                                          phase1_epochs=10),
                                         BaselineKind.LINEAR)
         assert abs(result["mean_acc"] - 1.0 / 3.0) < 0.2
+
+
+class TestSubsetRuns:
+    def test_full_set_maps_to_none_and_others_slice_the_operators(self):
+        ds = quick_dataset()
+        config = quick_config()
+        props = popgcn.build_propagation_matrices(ds)
+        runs = popgcn.subset_runs(ds, config, props,
+                                  [["noise"], ["noise", "informative"]])
+        assert list(runs) == ["noise", "informative+noise"]
+        assert runs["informative+noise"] is None
+        subset_config, subset_props = runs["noise"]
+        noise = ds.element_index("noise")
+        assert subset_config == dataclasses.replace(
+            config, edge_rules=(popgcn.default_edge_rules(ds)[noise],))
+        assert subset_props == [props[noise]]
+
+    def test_every_rule_out_of_rule_order_is_a_run_of_its_own(self):
+        # the key and the run follow dataset order; only the rules in their
+        # own order are the run of the config itself
+        ds = quick_dataset()
+        rules = tuple(reversed(popgcn.default_edge_rules(ds)))
+        config = quick_config(edge_rules=rules)
+        runs = popgcn.subset_runs(ds, config, ["P-noise", "P-informative"],
+                                  [["noise", "informative"]])
+        subset_config, subset_props = runs["informative+noise"]
+        assert subset_config.edge_rules == rules[::-1]
+        assert subset_props == ["P-informative", "P-noise"]
+
+    @pytest.mark.parametrize("subsets, message", [
+        ([["bogus"]], "unknown element 'bogus'"),
+        ([["noise"], []], "empty graph subset"),
+        ([["noise", "informative"], ["informative", "noise"]],
+         "repeated subset 'informative+noise'"),
+    ])
+    def test_refusal_names_the_subsets_field(self, subsets, message):
+        ds = quick_dataset()
+        with pytest.raises(popgcn.DataError) as info:
+            popgcn.subset_runs(ds, quick_config(), [None, None], subsets)
+        assert (str(info.value), info.value.field) == (message, "subsets")

@@ -791,6 +791,59 @@ class TestCompareCommand:
         assert lines[0].startswith("error: config: compare.subsets: ")
         assert calls == []
 
+    @pytest.mark.parametrize("subsets", [
+        "bogus", "informative+noise,noise+informative"])
+    def test_bad_subset_refused_before_any_graph_is_built(
+            self, tmp_path, capsys, monkeypatch, subsets):
+        built = []
+        for stage in ("similarity_matrix", "build_edge_matrix"):
+            monkeypatch.setattr(popgcn.graph, stage,
+                                lambda *args, **kwargs: built.append(1))
+        code = main(["compare", "--config", write_config(tmp_path),
+                     "--subsets", subsets])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: config: compare.subsets: ")
+        with pytest.raises(popgcn.DataError, match="subset|element"):
+            ablate_graph_subsets(quick_dataset(), popgcn.TrainConfig(),
+                                 [part.split("+")
+                                  for part in subsets.split(",")])
+        assert built == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_library_reproduces_compare(self, tmp_path, capsys, monkeypatch,
+                                        workers):
+        # one cross_validate call over the runs compare trains gives the
+        # sections of its report, folds trained here or in 2 forked workers
+        monkeypatch.setattr(popgcn.train, "_fold_workers",
+                            lambda n_jobs: min(workers, n_jobs))
+        out = tmp_path / "compare.json"
+        assert main(["compare", "--config", write_config(tmp_path),
+                     "--out", str(out)]) == 0
+        report = strip_wall_clock(json.loads(out.read_text()))
+        dataset = popgcn.generate_synthetic(
+            popgcn.SynthConfig(**SYNTH_RECIPE))
+        config = popgcn.TrainConfig(**QUICK_TRAIN)
+        props = popgcn.build_propagation_matrices(dataset)
+        kinds = list(popgcn.BaselineKind)
+        ablated = popgcn.subset_runs(dataset, config, props, [
+            ["informative"], ["noise"], ["informative", "noise"]])
+        proposed, *reports = [
+            strip_wall_clock(cv.to_dict()) for cv in popgcn.cross_validate(
+                dataset, [(config, props),
+                          *(popgcn.baseline_run(dataset, config, kind)
+                            for kind in kinds),
+                          *(run for run in ablated.values() if run)])]
+        assert report["proposed"] == proposed
+        assert {name: {key: value for key, value in section.items()
+                       if key != "kind"}
+                for name, section in report["baselines"].items()} == \
+            {kind.value: cv for kind, cv in zip(kinds, reports)}
+        trained = iter(reports[len(kinds):])
+        assert report["subsets"] == {
+            key: proposed if run is None else next(trained)
+            for key, run in ablated.items()}
+
     @pytest.mark.parametrize("flag, extra, line", [
         (["--baselines", "linear,linear"], {},
          "error: config: --baselines: repeated baseline 'linear'"),

@@ -17,6 +17,13 @@ from helpers import quick_dataset
 TILE = graph._SYMMETRY_TILE
 
 
+def corrcoef_on_one_blas_thread(feats):
+    """``np.corrcoef(feats)`` with OpenBLAS on one thread, as
+    ``similarity_matrix`` runs its product: on more threads the product
+    may round differently."""
+    return graph._one_blas_thread(np.corrcoef, feats)
+
+
 def _symmetric(n, seed=0):
     values = np.random.default_rng(seed).random((n, n))
     return values + values.T
@@ -227,7 +234,7 @@ class TestSimilarityMatrix:
         # the threads write disjoint tiles of one array, and a write into
         # another thread's tile would change the bytes
         feats = np.random.default_rng(6).standard_normal((5 * TILE + 7, 9))
-        sim = np.corrcoef(feats)
+        sim = corrcoef_on_one_blas_thread(feats)
         expected = np.clip((sim + sim.T) / 2.0, 0.0, 1.0)
         np.fill_diagonal(expected, 1.0)
         monkeypatch.setattr(graph, "_build_threads",
@@ -244,10 +251,31 @@ class TestSimilarityMatrix:
     def test_bits_of_the_full_matrix_formula(self, n):
         feats = np.random.default_rng(n).standard_normal((n, 7))
         feats[0] *= 1e150  # large but in range: still correlated exactly
-        sim = np.corrcoef(feats)
+        sim = corrcoef_on_one_blas_thread(feats)
         expected = np.clip((sim + sim.T) / 2.0, 0.0, 1.0)
         np.fill_diagonal(expected, 1.0)
         assert popgcn.similarity_matrix(feats).tobytes() == expected.tobytes()
+
+
+    def test_pins_in_two_threads_restore_the_thread_count(self,
+                                                          monkeypatch):
+        # two builds pin OpenBLAS at once; without turns the later one
+        # reads the earlier one's pin as the count to restore
+        count, seen = [2], []
+        monkeypatch.setattr(graph, "_openblas", lambda: (
+            lambda: count[0], lambda threads: count.__setitem__(0, threads)))
+
+        def product():
+            seen.append(count[0])
+            time.sleep(0.05)
+
+        threads = [threading.Thread(target=graph._one_blas_thread,
+                                    args=(product,)) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert (seen, count) == ([1, 1], [2])
 
 
 class TestBuildAffinity:

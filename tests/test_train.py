@@ -542,7 +542,7 @@ class TestCVPlumbing:
             return real_split(labels, config)
 
         monkeypatch.setattr(train_mod, "cv_folds_and_seeds", counted_split)
-        reports = train_mod._cross_validate(
+        reports = train_mod.cross_validate(
             ds, [(config, props) for config in configs])
         assert [_stripped(report) for report in reports] == alone
         assert splits == [(0, 3), (1, 3), (0, 2)]
@@ -716,7 +716,7 @@ class TestFoldWorkers:
         ds = quick_dataset()
         config = quick_config(max_total_epochs=20, phase1_epochs=5)
         props = popgcn.build_propagation_matrices(ds)
-        train_mod._cross_validate(ds, [(config, props), (config, props[:1])])
+        train_mod.cross_validate(ds, [(config, props), (config, props[:1])])
         assert asked == [(6, 6)]
 
     def test_no_openblas_runs_serially(self, host):
@@ -742,12 +742,50 @@ class TestFoldWorkers:
         assert train_mod._fold_workers(10) == 1
 
     def test_probe_reads_the_loaded_openblas(self):
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        if "openblas" not in str(blas.get("name")).lower():
-            pytest.skip(f"NumPy uses {blas.get('name')}, not OpenBLAS")
+        _skip_without_openblas()
         assert _run_python(
             "import popgcn.train; print(popgcn.train._blas_threads())"
         ).stdout.strip() == "1"
+
+
+def _skip_without_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name")).lower():
+        pytest.skip(f"NumPy uses {blas.get('name')}, not OpenBLAS")
+
+
+# A run_cv report digest of the acceptance cohort, seed 1, with serial
+# folds, and the OpenBLAS thread count before and after it.
+BLAS_RECIPE = """
+import hashlib, json
+import popgcn, popgcn.train as train
+from helpers import strip_wall_clock
+train._fold_workers = lambda n_jobs: 1
+dataset = popgcn.generate_synthetic(popgcn.SynthConfig(
+    n_nodes=300, n_features=20, n_classes=3, class_separation=0.5,
+    informative_elements=(("informative", 0.9),), noise_elements=("noise",),
+    seed=1))
+before = train._blas_threads()
+report = popgcn.run_cv(dataset, popgcn.TrainConfig(
+    seed=1, folds=5, phase1_epochs=40, max_total_epochs=70, patience=30))
+text = json.dumps(strip_wall_clock(report.to_dict()), sort_keys=True)
+print(hashlib.sha256(text.encode()).hexdigest(), before, train._blas_threads())
+"""
+
+
+def test_report_same_under_one_and_two_blas_threads():
+    # two OpenBLAS threads round the similarity's product differently from
+    # one, enough to move this recipe's omega in the 16th digit; the
+    # product runs on one thread, and the setting is restored after it
+    _skip_without_openblas()
+    digests = []
+    for threads in ("1", "2"):
+        done = _run_python(BLAS_RECIPE, blas_threads=threads)
+        assert done.returncode == 0, done.stderr
+        digest, before, after = done.stdout.split()
+        assert before == after
+        digests.append(digest)
+    assert digests[0] == digests[1]
 
 
 SRC = Path(popgcn.__file__).resolve().parents[1]
@@ -843,12 +881,13 @@ sys.exit(popgcn.cli.main(["cv", "--config", config]))
 """
 
 
-def _run_python(code, *args):
-    """``code`` in a fresh interpreter with OpenBLAS on one thread, so that
-    a fork sees no BLAS thread, and with every warning an error. It leads a
-    process group of its own, so a signal it sends to its group stays
-    there; the group id is ``.pid`` of the result."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+def _run_python(code, *args, blas_threads="1"):
+    """``code`` in a fresh interpreter with OpenBLAS on ``blas_threads``,
+    by default one, so that a fork sees no BLAS thread, and with every
+    warning an error. It leads a process group of its own, so a signal it
+    sends to its group stays there; the group id is ``.pid`` of the
+    result."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
            "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}
     with subprocess.Popen([sys.executable, "-W", "error", "-c", code,
                            *map(str, args)], env=env, text=True,
