@@ -241,6 +241,9 @@ def _set_up(args) -> tuple[RunConfig, Dataset, TrainConfig]:
         run.synth = replace(run.synth, seed=given["seed"])
     if args.out is not None:
         run.out = _path("--out", args.out)
+    if run.out is not None and Path(run.out).is_dir():  # before any work
+        raise ConfigError("out" if args.out is None else "--out",
+                          f"{run.out!r} is a directory")
     if getattr(args, "baselines", None) is not None:
         run.baselines = _check_baselines("--baselines",
                                          args.baselines.split(","))

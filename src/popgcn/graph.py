@@ -199,8 +199,8 @@ def similarity_matrix(features, *, scratch=None) -> np.ndarray:
     The bits are those of ``np.clip((c + c.T) / 2, 0, 1)`` with ``c =
     np.corrcoef(features)`` and a unit diagonal: the same product of the
     centred rows, then the same elementwise steps in the same order, taken
-    one tile and its mirror at a time, in place, with each usable CPU
-    taking one block row of tiles at a time (see ``_build_threads``).
+    one tile and its mirror at a time, in place: one call per block row of
+    tiles, spread over threads by ``_in_threads``.
 
     The centred rows are written into ``scratch``, a C-contiguous float64
     array whose contents are lost, when it holds at least N x d items;
@@ -240,8 +240,8 @@ def similarity_matrix(features, *, scratch=None) -> np.ndarray:
     # here: a thread's malloc arena would keep what the thread allocates
     tile = min(_SYMMETRY_TILE, len(sim))
     sums = np.empty((len(blocks), tile, tile))
-    _in_threads(_correlate_block_row,
-                [(sim, std, scale, rows, total)
+    _in_threads([functools.partial(_correlate_block_row, sim, std, scale,
+                                   rows, total)
                  for rows, total in zip(blocks, sums)])
     np.fill_diagonal(sim, 1.0)
     return sim
@@ -396,28 +396,62 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _build_threads(n_jobs: int) -> int:
-    """Threads to run ``n_jobs`` independent graph-build jobs in (element
-    graphs, or block rows of the similarity); 1 means the calling thread.
+def _build_threads(n_calls: int) -> int:
+    """Threads for ``_in_threads`` to make ``n_calls`` graph-build calls in
+    (element stages, or block rows of the similarity); 1 means the calling
+    thread alone.
 
-    Every usable CPU takes one job: the jobs are elementwise NumPy passes,
-    which release the GIL and call no BLAS.
+    Every usable CPU takes one call at a time: the calls are elementwise
+    NumPy passes, which release the GIL, or the one-BLAS-thread product.
     """
-    return min(n_jobs, _usable_cpus())
+    return min(n_calls, _usable_cpus())
 
 
-def _in_threads(fn, jobs) -> None:
-    """``fn(*job)`` for every job, in up to ``_build_threads`` threads, all
-    joined before it returns."""
-    threads = _build_threads(len(jobs))
-    if threads <= 1:
-        for job in jobs:
-            fn(*job)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # import popgcn stays lean
-    with ThreadPoolExecutor(threads) as pool:
-        for future in [pool.submit(fn, *job) for job in jobs]:
-            future.result()
+def _in_threads(calls) -> list:
+    """``[call() for call in calls]``, made by the calling thread and up to
+    ``_build_threads(len(calls)) - 1`` helper threads; with none this is
+    the serial loop.
+
+    The calling thread makes the first call, the helpers take the others in
+    order, and the calling thread takes calls too once its own is done. A
+    taken call always runs; none is taken after one fails or the calling
+    thread is interrupted. The first failing call in order raises, as in a
+    serial run. Every helper is joined before this returns or raises.
+    """
+    results, errors = [None] * len(calls), {}
+    lock, pending, stopped = threading.Lock(), iter(range(len(calls))), False
+
+    def take():
+        with lock:
+            return None if errors or stopped else next(pending, None)
+
+    def work(i):
+        while i is not None:
+            try:
+                results[i] = calls[i]()
+            except BaseException as error:
+                with lock:
+                    errors[i] = error
+            i = take()
+
+    helpers = [threading.Thread(target=lambda: work(take()))
+               for _ in range(_build_threads(len(calls)) - 1)]
+    first = take()  # before any helper starts: the first call is this thread's
+    try:
+        for helper in helpers:
+            helper.start()
+        work(first)
+        for helper in helpers:
+            helper.join()
+    finally:  # an interrupt, also during the join above, joins them here
+        with lock:
+            stopped = True
+        for helper in helpers:
+            if helper.is_alive():
+                helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _edges(dataset: Dataset, rule: EdgeRule, buffer) -> np.ndarray:
@@ -426,89 +460,48 @@ def _edges(dataset: Dataset, rule: EdgeRule, buffer) -> np.ndarray:
     return build_edge_matrix(column, rule, out=buffer)
 
 
-def _edges_in_order(dataset: Dataset, rules, buffers) -> list:
-    """``_edges`` of each rule in turn; the first failing rule raises."""
-    return [_edges(dataset, rule, buffer)
-            for rule, buffer in zip(rules, buffers)]
+def build_affinity_matrices(dataset: Dataset, rules=None) -> list[AffinityMatrix]:
+    """One similarity-weighted graph per rule (none or empty: the defaults).
 
-
-def _weighted(sim, rule: EdgeRule, edges, normalize: bool):
-    """The affinity of ``edges``, or with ``normalize`` its operator, each
-    written over ``edges``."""
-    affinity = build_affinity(sim, edges, rule.element, out=edges)
-    return normalize_affinity(affinity, out=edges) if normalize else affinity
-
-
-def _element_graph(dataset: Dataset, sim, rule: EdgeRule, buffer,
-                   normalize: bool):
-    """One element's affinity, or with ``normalize`` its operator, built in
-    ``buffer``: each stage overwrites the one before."""
-    return _weighted(sim, rule, _edges(dataset, rule, buffer), normalize)
-
-
-def _build_graphs(dataset: Dataset, rules, normalize: bool) -> list:
-    """``_element_graph`` of every rule, in rule order.
-
-    The last element's buffer holds the similarity's centred feature rows
-    until the similarity returns. With ``_build_threads`` above 1, the pool
-    builds the edges of the other rules while this thread computes the
-    similarity's product, since edges never read the similarity; then the
-    pool weights those edges while this thread builds the last element. An
-    error is the one a serial build raises: the similarity's, then the
-    default rules', then the first failing rule's. Rules not yet started
-    then stay unbuilt.
+    The similarity matrix is computed once and shared across all graphs,
+    with its centred feature rows in the last graph's array. Two rounds of
+    ``_in_threads`` build them: the similarity beside the edges of every
+    other rule, then every affinity, the last after its edges. Each graph's
+    edges, then its affinity, overwrite one N x N array. The bits and the
+    error are a serial build's: the similarity's, then the default rules',
+    then the first failing rule's. A rule naming no element of ``dataset``
+    is a ``DataError``.
     """
     try:
         rules = rules_or_defaults(dataset, rules)
     except DataError:
         similarity_matrix(dataset.features)  # a serial build fails here first
         raise
-    n = dataset.n_nodes
+    n, last = dataset.n_nodes, len(rules) - 1
     # Every N x N buffer comes from this thread. A thread that allocates its
     # own keeps the freed memory in its malloc arena, which raised the peak
     # RSS above that of a serial build.
     buffers = [np.empty((n, n)) for _ in rules]
-    threads = _build_threads(len(rules))
-    if threads <= 1:
-        sim = similarity_matrix(dataset.features,
-                                scratch=buffers[-1] if buffers else None)
-        return [_element_graph(dataset, sim, rule, buffer, normalize)
-                for rule, buffer in zip(rules, buffers)]
-    from concurrent.futures import ThreadPoolExecutor  # import popgcn stays lean
-    pool = ThreadPoolExecutor(threads)
-    try:
-        *first, last = rules
-        # the edges take every thread but one, whose CPU the product takes
-        size = -(-len(first) // (threads - 1))
-        early = [pool.submit(_edges_in_order, dataset, first[i:i + size],
-                             buffers[i:i + size])
-                 for i in range(0, len(first), size)]
-        sim = similarity_matrix(dataset.features, scratch=buffers[-1])
-        edges = [matrix for future in early for matrix in future.result()]
-        futures = [pool.submit(_weighted, sim, rule, matrix, normalize)
-                   for rule, matrix in zip(first, edges)]
-        graph = _element_graph(dataset, sim, last, buffers[-1], normalize)
-        return [future.result() for future in futures] + [graph]
-    finally:
-        # joins every thread, so that folds may still fork after the build
-        pool.shutdown(cancel_futures=True)
+    sim = _in_threads(
+        [functools.partial(similarity_matrix, dataset.features,
+                           scratch=buffers[-1] if buffers else None)]
+        + [functools.partial(_edges, dataset, rule, buffer)
+           for rule, buffer in zip(rules[:last], buffers)])[0]
 
+    def affinity(i):
+        edges = buffers[i] if i < last else _edges(dataset, rules[i],
+                                                   buffers[i])
+        return build_affinity(sim, edges, rules[i].element, out=buffers[i])
 
-def build_affinity_matrices(dataset: Dataset, rules=None) -> list[AffinityMatrix]:
-    """One similarity-weighted graph per rule (none or empty: the defaults).
-
-    The similarity matrix is computed once and shared across all graphs.
-    The graphs build side by side in threads (see ``_build_threads``), with
-    the bits of a serial build. A rule naming no element of ``dataset`` is a
-    ``DataError``.
-    """
-    return _build_graphs(dataset, rules, normalize=False)
+    return _in_threads([functools.partial(affinity, i)
+                        for i in range(len(rules))])
 
 
 def build_propagation_matrices(dataset: Dataset, rules=None) -> list[PropagationMatrix]:
-    """Normalized propagation operator per element graph. Each operator is
-    built in one N x N array, and no affinity is kept."""
-    return _build_graphs(dataset, rules, normalize=True)
+    """Normalized propagation operator per element graph, each written over
+    its affinity's array: no affinity is kept."""
+    return _in_threads([functools.partial(normalize_affinity, a, out=a.weights)
+                        for a in build_affinity_matrices(dataset, rules)])
 
 
 def graph_statistics(affinity: AffinityMatrix) -> dict:

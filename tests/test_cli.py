@@ -220,6 +220,25 @@ def test_empty_out_flag_refused(tmp_path, capsys, monkeypatch, argv):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("command", ["cv", "compare", "graph-stats"])
+@pytest.mark.parametrize("field", ["--out", "out"])
+def test_out_naming_a_directory_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, command, field):
+    # it was refused only when the report was written, after every fold
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(popgcn.cli, "generate_synthetic", no_work)
+    monkeypatch.setattr(popgcn.graph, "similarity_matrix", no_work)
+    if field == "--out":
+        argv = ["--config", write_config(tmp_path), "--out", str(tmp_path)]
+    else:
+        argv = ["--config", write_config(tmp_path, out=str(tmp_path))]
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: {field}: {str(tmp_path)!r} is a directory"]
+
+
 # each setting refused once from its flag and once from the config file,
 # with the same line; the ids name a row by its first two values
 @pytest.mark.parametrize("command", ["cv", "compare"])

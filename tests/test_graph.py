@@ -256,6 +256,30 @@ class TestSimilarityMatrix:
         np.fill_diagonal(expected, 1.0)
         assert popgcn.similarity_matrix(feats).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("scratch", [
+        np.empty(200, dtype=np.float32), np.empty((20, 20)).T,
+        np.empty((20, 20))[:, ::2], [0.0] * 200])
+    def test_scratch_must_be_c_contiguous_float64(self, scratch):
+        feats = np.random.default_rng(1).standard_normal((10, 5))
+        with pytest.raises(GraphError, match="scratch must be a C-contiguous "
+                                             "float64 array"):
+            popgcn.similarity_matrix(feats, scratch=scratch)
+
+    @pytest.mark.parametrize("n, d", [(5, 12), (20, 6)],
+                             ids=["features-wider-than-n", "room-to-spare"])
+    def test_scratch_gives_the_bytes_of_no_scratch(self, n, d):
+        # an N x N scratch holds the centred rows only when d <= N; a
+        # smaller one is left as it was and the rows get their own array
+        feats = np.random.default_rng(n).standard_normal((n, d))
+        expected = popgcn.similarity_matrix(feats).tobytes()
+        scratch = np.full((n, n), 7.0)
+        assert popgcn.similarity_matrix(feats, scratch=scratch).tobytes() \
+            == expected
+        if n * d > scratch.size:
+            assert np.all(scratch == 7.0)
+        else:
+            centred = feats - feats.mean(axis=1, keepdims=True)
+            assert scratch.reshape(-1)[:n * d].tobytes() == centred.tobytes()
 
     def test_pins_in_two_threads_restore_the_thread_count(self,
                                                           monkeypatch):
@@ -586,6 +610,91 @@ class TestOutArguments:
         with pytest.raises(GraphError, match=r"out must be a float64 array "
                            r"of shape \(4, 4\)"):
             popgcn.build_edge_matrix([1.0, 2.0, 1.0, 3.0], rule, out=out)
+
+
+class TestInThreads:
+    def test_results_in_call_order_first_call_on_the_calling_thread(
+            self, monkeypatch):
+        monkeypatch.setattr(graph, "_build_threads", lambda n_calls: n_calls)
+        calls = [lambda i=i: (i, threading.current_thread())
+                 for i in range(6)]
+        results = graph._in_threads(calls)
+        assert [i for i, _ in results] == list(range(6))
+        assert results[0][1] is threading.main_thread()
+
+    def test_a_slow_failing_call_wins_over_a_later_fast_one(self,
+                                                            monkeypatch):
+        # call 2 fails while call 1, already taken, still runs: a serial
+        # run raises call 1's error and never reaches call 2
+        monkeypatch.setattr(graph, "_build_threads", lambda n_calls: n_calls)
+        started = threading.Event()
+
+        def slow():
+            started.set()
+            time.sleep(0.1)
+            raise ValueError("call 1")
+
+        def fast():
+            assert started.wait(5.0)
+            raise ValueError("call 2")
+
+        with pytest.raises(ValueError, match="call 1"):
+            graph._in_threads([lambda: 0, slow, fast])
+
+    def test_no_call_starts_after_a_failure(self, monkeypatch):
+        monkeypatch.setattr(graph, "_build_threads", lambda n_calls: 2)
+        before, ran = threading.active_count(), []
+
+        def first():
+            # wait until the helper has failed and found nothing to take
+            deadline = time.monotonic() + 5.0
+            while (threading.active_count() > before
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            ran.append(0)
+
+        def failing():
+            ran.append(1)
+            raise ValueError("call 1")
+
+        calls = [first, failing] + [lambda i=i: ran.append(i)
+                                    for i in range(2, 6)]
+        with pytest.raises(ValueError, match="call 1"):
+            graph._in_threads(calls)
+        assert sorted(ran) == [0, 1]
+
+    def test_interrupt_in_the_first_call_joins_and_runs_no_more(
+            self, monkeypatch):
+        monkeypatch.setattr(graph, "_build_threads", lambda n_calls: 2)
+        before, ran = threading.active_count(), []
+        started = threading.Event()
+
+        def interrupted():
+            assert started.wait(5.0)
+            raise KeyboardInterrupt
+
+        def taken():
+            started.set()
+            time.sleep(0.1)
+            ran.append(1)
+
+        calls = [interrupted, taken] + [lambda i=i: ran.append(i)
+                                        for i in range(2, 5)]
+        with pytest.raises(KeyboardInterrupt):
+            graph._in_threads(calls)
+        assert ran == [1]
+        assert threading.active_count() == before
+
+    def test_one_thread_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(graph, "_build_threads", lambda n_calls: 1)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was constructed")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert graph._in_threads([lambda i=i: i for i in range(4)]) == [
+            0, 1, 2, 3]
+        assert len(popgcn.build_propagation_matrices(quick_dataset())) == 2
 
 
 class TestThreadedBuild:
