@@ -54,9 +54,11 @@ class EdgeRule:
                 f"threshold rules need beta > 0, got {self.beta}", "beta")
 
 
-# Edge of the square tiles the symmetry scan compares with their mirrors. A
-# pair of 256 x 256 float64 tiles (1 MB) stays in cache while the mirror is
-# read column-wise; the full-matrix ``array.T`` read misses on every row.
+# Edge of the square tiles that the symmetry scan compares with their
+# mirrors and the similarity walk turns into correlations, and the row count
+# of the blocks the checks and the normalization take at a time. A pair of
+# 256 x 256 float64 tiles (1 MB) stays in cache while the mirror is read
+# column-wise; the full-matrix ``array.T`` read misses on every row.
 _SYMMETRY_TILE = 256
 
 
@@ -187,7 +189,7 @@ def build_edge_matrix(delta_column, rule: EdgeRule, *, out=None) -> np.ndarray:
     return edges
 
 
-def similarity_matrix(features, *, scratch=None) -> np.ndarray:
+def similarity_matrix(features) -> np.ndarray:
     """Rectified Pearson correlation between subject feature rows.
 
     Entries are max(0, corr(X_i, X_j)): anti-correlated subjects disconnect
@@ -202,25 +204,16 @@ def similarity_matrix(features, *, scratch=None) -> np.ndarray:
     one tile and its mirror at a time, in place: one call per block row of
     tiles, spread over threads by ``_in_threads``.
 
-    The centred rows are written into ``scratch``, a C-contiguous float64
-    array whose contents are lost, when it holds at least N x d items;
-    otherwise into a new array. The product runs on one OpenBLAS thread,
-    so the bits do not depend on the BLAS thread setting.
+    The centred rows take an N x d array of their own, freed once the
+    product is taken. The product runs on one OpenBLAS thread, so the bits
+    do not depend on the BLAS thread setting.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] < 2:
         raise GraphError("similarity needs at least 2 feature dimensions per row")
-    if scratch is not None and not (isinstance(scratch, np.ndarray)
-                                    and scratch.dtype == np.float64
-                                    and scratch.flags.c_contiguous):
-        raise GraphError("scratch must be a C-contiguous float64 array")
-    if scratch is None or scratch.size < feats.size:
-        centred = np.empty(feats.shape)
-    else:
-        centred = scratch.reshape(-1)[:feats.size].reshape(feats.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         spread = feats.max(axis=1) - feats.min(axis=1)
-        np.subtract(feats, feats.mean(axis=1, keepdims=True), out=centred)
+        centred = feats - feats.mean(axis=1, keepdims=True)
         squares = np.square(centred).sum(axis=1)
     flat = np.flatnonzero(spread == 0)
     if flat.size:
@@ -463,38 +456,31 @@ def _edges(dataset: Dataset, rule: EdgeRule, buffer) -> np.ndarray:
 def build_affinity_matrices(dataset: Dataset, rules=None) -> list[AffinityMatrix]:
     """One similarity-weighted graph per rule (none or empty: the defaults).
 
-    The similarity matrix is computed once and shared across all graphs,
-    with its centred feature rows in the last graph's array. Two rounds of
-    ``_in_threads`` build them: the similarity beside the edges of every
-    other rule, then every affinity, the last after its edges. Each graph's
-    edges, then its affinity, overwrite one N x N array. The bits and the
-    error are a serial build's: the similarity's, then the default rules',
-    then the first failing rule's. A rule naming no element of ``dataset``
-    is a ``DataError``.
+    The similarity matrix is computed once and shared across all graphs.
+    Two rounds of ``_in_threads`` build them: the similarity beside the
+    edges of every rule, then every affinity. Each graph's edges, then its
+    affinity, overwrite one N x N array. The bits and the error are a
+    serial build's: the similarity's, then the default rules', then the
+    first failing rule's. A rule naming no element of ``dataset`` is a
+    ``DataError``.
     """
     try:
         rules = rules_or_defaults(dataset, rules)
     except DataError:
         similarity_matrix(dataset.features)  # a serial build fails here first
         raise
-    n, last = dataset.n_nodes, len(rules) - 1
+    n = dataset.n_nodes
     # Every N x N buffer comes from this thread. A thread that allocates its
     # own keeps the freed memory in its malloc arena, which raised the peak
     # RSS above that of a serial build.
     buffers = [np.empty((n, n)) for _ in rules]
-    sim = _in_threads(
-        [functools.partial(similarity_matrix, dataset.features,
-                           scratch=buffers[-1] if buffers else None)]
+    sim, *edges = _in_threads(
+        [functools.partial(similarity_matrix, dataset.features)]
         + [functools.partial(_edges, dataset, rule, buffer)
-           for rule, buffer in zip(rules[:last], buffers)])[0]
-
-    def affinity(i):
-        edges = buffers[i] if i < last else _edges(dataset, rules[i],
-                                                   buffers[i])
-        return build_affinity(sim, edges, rules[i].element, out=buffers[i])
-
-    return _in_threads([functools.partial(affinity, i)
-                        for i in range(len(rules))])
+           for rule, buffer in zip(rules, buffers)])
+    return _in_threads([functools.partial(build_affinity, sim, matrix,
+                                          rule.element, out=matrix)
+                        for rule, matrix in zip(rules, edges)])
 
 
 def build_propagation_matrices(dataset: Dataset, rules=None) -> list[PropagationMatrix]:

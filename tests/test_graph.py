@@ -256,31 +256,6 @@ class TestSimilarityMatrix:
         np.fill_diagonal(expected, 1.0)
         assert popgcn.similarity_matrix(feats).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("scratch", [
-        np.empty(200, dtype=np.float32), np.empty((20, 20)).T,
-        np.empty((20, 20))[:, ::2], [0.0] * 200])
-    def test_scratch_must_be_c_contiguous_float64(self, scratch):
-        feats = np.random.default_rng(1).standard_normal((10, 5))
-        with pytest.raises(GraphError, match="scratch must be a C-contiguous "
-                                             "float64 array"):
-            popgcn.similarity_matrix(feats, scratch=scratch)
-
-    @pytest.mark.parametrize("n, d", [(5, 12), (20, 6)],
-                             ids=["features-wider-than-n", "room-to-spare"])
-    def test_scratch_gives_the_bytes_of_no_scratch(self, n, d):
-        # an N x N scratch holds the centred rows only when d <= N; a
-        # smaller one is left as it was and the rows get their own array
-        feats = np.random.default_rng(n).standard_normal((n, d))
-        expected = popgcn.similarity_matrix(feats).tobytes()
-        scratch = np.full((n, n), 7.0)
-        assert popgcn.similarity_matrix(feats, scratch=scratch).tobytes() \
-            == expected
-        if n * d > scratch.size:
-            assert np.all(scratch == 7.0)
-        else:
-            centred = feats - feats.mean(axis=1, keepdims=True)
-            assert scratch.reshape(-1)[:n * d].tobytes() == centred.tobytes()
-
     def test_pins_in_two_threads_restore_the_thread_count(self,
                                                           monkeypatch):
         # two builds pin OpenBLAS at once; without turns the later one
@@ -753,20 +728,24 @@ class TestThreadedBuild:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_first_failing_rule_raises(self, monkeypatch, threads):
-        # both columns hold a value the edge stage refuses, in other rows
-        ds = quick_dataset(noise_elements=("noise", "site"))
-        ds.demographics[5, ds.element_index("noise")] = np.nan
-        ds.demographics[3, ds.element_index("site")] = np.inf
+        # each named column holds a value the edge stage refuses, in its own
+        # row; the last rule's edges build in the first round like the others
         rules = [popgcn.EdgeRule("informative", popgcn.EQUALITY),
                  popgcn.EdgeRule("site", popgcn.EQUALITY),
                  popgcn.EdgeRule("noise", popgcn.THRESHOLD, 0.5)]
         monkeypatch.setattr(graph, "_build_threads",
                             lambda n_elements: threads)
         before = threading.active_count()
-        with pytest.raises(GraphError) as err:
-            popgcn.build_propagation_matrices(ds, rules)
-        assert str(err.value) == "non-finite demographic value at row 3"
-        assert threading.active_count() == before
+        for bad, row in [({"noise": (5, np.nan), "site": (3, np.inf)}, 3),
+                         ({"noise": (5, np.nan)}, 5)]:
+            ds = quick_dataset(noise_elements=("noise", "site"))
+            for element, (i, value) in bad.items():
+                ds.demographics[i, ds.element_index(element)] = value
+            with pytest.raises(GraphError) as err:
+                popgcn.build_propagation_matrices(ds, rules)
+            assert str(err.value) == \
+                f"non-finite demographic value at row {row}"
+            assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpu_count", [None, 1, 4])
     def test_builds_where_sched_getaffinity_is_missing(self, monkeypatch,
@@ -806,7 +785,7 @@ class TestThreadedBuild:
                                       "correlation undefined")
 
     @pytest.mark.parametrize("slow, first", [
-        ("similarity_matrix", ["build_edge_matrix"] * 2 + [
+        ("similarity_matrix", ["build_edge_matrix"] * 3 + [
             "similarity_matrix"]),
         ("build_edge_matrix", ["similarity_matrix"]),
     ], ids=["edges-finish-first", "similarity-finishes-first"])
@@ -834,8 +813,7 @@ class TestThreadedBuild:
         for name in ("similarity_matrix", "build_edge_matrix"):
             monkeypatch.setattr(graph, name, stage(name))
         assert _graph_bytes(build(ds)) == serial
-        # the edges of every rule but the last build while the similarity
-        # does: the last rule's buffer holds its centred feature rows
+        # the edges of every rule build while the similarity does
         assert finished[:len(first)] == first
         assert sorted(finished) == ["build_edge_matrix"] * 3 + [
             "similarity_matrix"]
@@ -874,13 +852,17 @@ class TestThreadedBuild:
                             lambda pid: {0, 1})
         assert train._fold_workers(4) == 2
 
+    @pytest.mark.parametrize("noise", [("noise",),
+                                       ("noise", "site", "scanner")],
+                             ids=["M=2", "M=4"])
     def test_peak_memory_is_one_array_per_element_plus_similarity(
-            self, threaded_build):
+            self, threaded_build, noise):
         # the operators, the similarity matrix, one block of rows per build
-        # thread and copies of the features; the full-matrix normalization
-        # held about 5 N x N arrays at M=2
+        # thread and copies of the features, among them the centred rows
+        # held while every rule's edges build beside the product; the
+        # full-matrix normalization held about 5 N x N arrays at M=2
         n, d = 1000, 20
-        ds = quick_dataset(n_nodes=n, n_features=d)
+        ds = quick_dataset(n_nodes=n, n_features=d, noise_elements=noise)
         square, block = n * n * 8, graph._SYMMETRY_TILE * n * 8
         bound = (ds.n_elements + 1) * square + 2 * block + 8 * n * d * 8
         tracemalloc.start()
@@ -889,7 +871,7 @@ class TestThreadedBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(props) == ds.n_elements == 2
+        assert len(props) == ds.n_elements == len(noise) + 1
         assert peak <= bound, (peak / square, bound / square)
 
 
