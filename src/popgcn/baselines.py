@@ -35,8 +35,8 @@ def identity_propagation(n_nodes: int) -> PropagationMatrix:
 
 
 def averaged_propagation(affinities) -> PropagationMatrix:
-    """Mean of the element affinity matrices, normalized once. The sum
-    builds in one N x N buffer, in the order and with the bits of
+    """Mean of the element affinity matrices, normalized once in place. The
+    sum builds in one N x N buffer, in the order and with the bits of
     ``np.mean(..., axis=0)``, without its (M, N, N) stack."""
     if not affinities:
         raise GraphError("need at least one affinity matrix to average")
@@ -45,7 +45,7 @@ def averaged_propagation(affinities) -> PropagationMatrix:
         total += affinity.weights
     total /= len(affinities)
     return normalize_affinity(
-        AffinityMatrix(weights=total, element_name="averaged"))
+        AffinityMatrix(weights=total, element_name="averaged"), out=total)
 
 
 def baseline_run(dataset: Dataset, config: TrainConfig, kind: BaselineKind,

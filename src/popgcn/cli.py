@@ -326,11 +326,11 @@ def cmd_compare(args) -> int:
     _checked("compare", subset_runs, dataset, config,
              [None] * len(config.edge_rules), subsets)
     affinities = build_affinity_matrices(dataset, config.edge_rules)
-    props = [normalize_affinity(a) for a in affinities]
-    # only avg_gcn reads the affinities: keep their average, not them
+    # only avg_gcn reads the affinities: average them before each becomes
+    # its operator, in place
     averaged = (averaged_propagation(affinities)
                 if "avg_gcn" in run.baselines else None)
-    del affinities
+    props = [normalize_affinity(a, out=a.weights) for a in affinities]
     # the full subset is the proposed run itself and reuses its report
     ablated = subset_runs(dataset, config, props, subsets)
     runs = [(config, props),

@@ -37,7 +37,7 @@ class EdgeRule:
     """How the column of the demographic element ``element`` turns into edges.
 
     ``threshold`` connects subjects whose values differ by less than ``beta``;
-    ``equality`` connects subjects whose values match exactly and ignores
+    ``equality`` connects subjects whose values match exactly and takes no
     ``beta``. A given ``beta`` is stored as a float and must be finite.
     """
 
@@ -52,6 +52,9 @@ class EdgeRule:
         if self.kind == THRESHOLD and (self.beta is None or self.beta <= 0):
             raise GraphError(
                 f"threshold rules need beta > 0, got {self.beta}", "beta")
+        if self.kind == EQUALITY and self.beta is not None:
+            raise GraphError(
+                f"equality rules take no beta, got {self.beta}", "beta")
 
 
 # Edge of the square tiles that the symmetry scan compares with their
@@ -330,22 +333,25 @@ def normalize_affinity(affinity: AffinityMatrix, *,
     isolated subjects propagate only to themselves instead of dividing by
     zero, and the result's spectral radius stays <= 1. The operator is
     written into ``out`` when given; it may be ``affinity.weights``.
+
+    Each scale s_i = D_ii^{-1/2} so lies in [0, 1], and entry (i, j) is
+    scaled by ``s_i * s_j``, bitwise equal to ``s_j * s_i``: the affinity's
+    checks prove the result finite and exactly symmetric without a scan.
     """
     weights = affinity.weights
-    if out is None:
-        augmented = weights.copy()
-    else:
-        augmented = _checked_out(out, weights.shape)
-        if augmented is not weights:
-            np.copyto(augmented, weights)
+    augmented = (np.empty(weights.shape) if out is None
+                 else _checked_out(out, weights.shape))
+    if augmented is not weights:
+        np.copyto(augmented, weights)
     np.fill_diagonal(augmented, 1.0)  # W + I exactly: W's diagonal is zero
     inv_sqrt_degree = 1.0 / np.sqrt(augmented.sum(axis=1))
-    # scaling each entry by the product of its row's and its column's scale
-    # keeps the result bitwise symmetric; one block of rows at a time keeps
-    # that product from taking an N x N array
+    # a block of rows at a time: the scales' product is never N x N
     for rows in _row_blocks(affinity.n_nodes):
         augmented[rows] *= inv_sqrt_degree[rows, None] * inv_sqrt_degree
-    return PropagationMatrix(matrix=augmented)
+    prop = object.__new__(PropagationMatrix)
+    object.__setattr__(prop, "matrix", augmented)
+    object.__setattr__(prop, "n_nodes", affinity.n_nodes)
+    return prop
 
 
 def default_edge_rules(dataset: Dataset) -> list[EdgeRule]:

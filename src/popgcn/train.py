@@ -492,23 +492,17 @@ def cross_validate(dataset: Dataset, runs) -> list[CVReport]:
     return reports
 
 
-def run_cv(dataset: Dataset, config: TrainConfig, props=None) -> CVReport:
+def run_cv(dataset: Dataset, config: TrainConfig) -> CVReport:
     """Stratified cross-validation of the multi-branch model.
 
     Graphs are built once on the full node set (test subjects stay vertices of
     the population graphs); each fold trains on its own training mask and is
-    scored on its test mask. ``props``, when given, must be the operators of
-    ``rules_or_defaults(dataset, config.edge_rules)`` in that order; callers
-    that already built them pass them in. Reported omegas come in raw form
-    and normalized by the sum of absolute values. When BLAS runs on fewer
-    threads than there are CPUs, the folds train in forked worker processes
-    (see ``_fold_workers``); the report is the same either way.
+    scored on its test mask. Operators already built train through
+    ``cross_validate(dataset, [(config, props)])``. Reported omegas come in
+    raw form and normalized by the sum of absolute values. When BLAS runs on
+    fewer threads than there are CPUs, the folds train in forked worker
+    processes (see ``_fold_workers``); the report is the same either way.
     """
-    rules = rules_or_defaults(dataset, config.edge_rules)
-    if props is None:
-        props = build_propagation_matrices(dataset, rules)
-    elif len(props) != len(rules):
-        raise ValueError(f"{len(props)} propagation matrices for "
-                         f"{len(rules)} edge rules")
+    props = build_propagation_matrices(dataset, config.edge_rules)
     report, = cross_validate(dataset, [(config, props)])
     return report

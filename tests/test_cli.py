@@ -262,6 +262,16 @@ def test_too_many_folds_named_through_main(tmp_path, capsys, command, flag,
         f"error: config: {line}"]
 
 
+def test_equality_rule_beta_refused_through_main(tmp_path, capsys):
+    # equality edges ignore a beta, so a given one is refused, not echoed
+    config = write_config(tmp_path, edge_rules=[
+        {"element": "noise", "kind": "equality", "beta": 3.0}])
+    assert main(["cv", "--config", config]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: config: edge_rules[0].beta: equality rules take no beta, "
+        "got 3.0"]
+
+
 # (keys down to the object that repeats a key, the key, its second value,
 # field path); json.loads alone would keep the second value
 @pytest.mark.parametrize("where, key, value, field", [
@@ -372,7 +382,7 @@ CONFIG_CLASSES = [(popgcn.TrainConfig, {}), (popgcn.SynthConfig, {}),
                   (popgcn.EdgeRule, {"element": "age", "beta": 2.0})]
 # a rule between two fields names the one it bounds, not the one set
 BOUNDED_BY = {"max_total_epochs": {"phase1_epochs"},
-              "n_classes": {"n_nodes", "n_features"}}
+              "n_classes": {"n_nodes", "n_features"}, "kind": {"beta"}}
 
 
 @settings(max_examples=30, deadline=None)
@@ -927,6 +937,30 @@ class TestCompareCommand:
         report = json.loads(out.read_text())
         assert strip_wall_clock(report["baselines"]["avg_gcn"]) == \
             strip_wall_clock(direct)
+
+    @pytest.mark.parametrize("flag, averaged", [
+        ([], [2]), (["--baselines", "linear"], [])])
+    def test_operators_normalized_in_place_after_averaging(
+            self, tmp_path, capsys, monkeypatch, flag, averaged):
+        # each operator is its affinity's own array, normalized once the
+        # affinities are averaged: a compare run holds M + 1 N x N arrays
+        events = []
+        normalize = popgcn.cli.normalize_affinity
+        average = popgcn.cli.averaged_propagation
+
+        def spied_normalize(affinity, *, out=None):
+            events.append(out is affinity.weights)
+            return normalize(affinity, out=out)
+
+        def spied_average(affinities):
+            events.append(len(affinities))
+            return average(affinities)
+
+        monkeypatch.setattr(popgcn.cli, "normalize_affinity", spied_normalize)
+        monkeypatch.setattr(popgcn.cli, "averaged_propagation", spied_average)
+        assert main(["compare", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path / "compare.json"), *flag]) == 0
+        assert events == [*averaged, True, True]
 
     def test_every_section_has_the_cv_fold_shape(self, tmp_path, capsys):
         out = tmp_path / "compare.json"

@@ -2,6 +2,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +44,13 @@ class TestEdgeRule:
     def test_equality_needs_no_beta(self):
         rule = popgcn.EdgeRule("site", popgcn.EQUALITY)
         assert rule.beta is None
+
+    def test_equality_refuses_a_beta(self):
+        # the edges would ignore it while every report echoed it
+        with pytest.raises(GraphError, match=r"^equality rules take no beta, "
+                           r"got 3\.0$") as err:
+            popgcn.EdgeRule("informative", popgcn.EQUALITY, 3.0)
+        assert err.value.field == "beta"
 
     @pytest.mark.parametrize("kind", [popgcn.THRESHOLD, popgcn.EQUALITY])
     @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
@@ -372,6 +380,32 @@ class TestNormalizeAffinity:
             prop = popgcn.normalize_affinity(popgcn.AffinityMatrix(weights))
             assert np.array_equal(prop.matrix, prop.matrix.T)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, TILE - 1, TILE, TILE + 1]),
+           seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.0, 1.0),
+           isolated=st.floats(0.0, 1.0),
+           exponents=st.tuples(st.integers(-324, 300), st.integers(-324, 300)))
+    def test_operator_passes_the_public_checks(self, n, seed, density,
+                                               isolated, exponents):
+        # the operator is not scanned when made; its affinity's checks prove
+        # it finite and exactly symmetric, from subnormal weights to 1e300
+        rng = np.random.default_rng(seed)
+        low, high = sorted(exponents)
+        values = 10.0 ** rng.uniform(low, high, (n, n))
+        upper = np.triu(values * (rng.random((n, n)) < density), 1)
+        alone = rng.random(n) < isolated
+        upper[alone], upper[:, alone] = 0.0, 0.0
+        affinity = popgcn.AffinityMatrix(upper + upper.T)
+        prop = popgcn.normalize_affinity(affinity)
+        assert popgcn.PropagationMatrix(matrix=prop.matrix.copy()).n_nodes == n
+        degrees = affinity.weights.sum(axis=1) + 1.0
+        assert np.allclose(np.diagonal(prop.matrix), 1.0 / degrees,
+                           rtol=1e-12, atol=0.0)
+        assert np.all(np.diagonal(prop.matrix)[alone] == 1.0)
+        in_place = popgcn.normalize_affinity(affinity, out=affinity.weights)
+        assert in_place.matrix is affinity.weights
+        assert in_place.matrix.tobytes() == prop.matrix.tobytes()
+
     def test_spectral_radius_bounded(self):
         rng = np.random.default_rng(8)
         for trial in range(10):
@@ -464,8 +498,8 @@ class TestBuildMatrices:
             assert a.matrix.tobytes() == b.matrix.tobytes()
 
     def test_each_graph_array_scanned_for_symmetry_once(self, monkeypatch):
-        # one scan per affinity and one per operator: the edge matrices are
-        # symmetric by construction and are not scanned again
+        # one scan per affinity: the edge matrices are symmetric by
+        # construction, and each operator is proven by its affinity
         ds = quick_dataset(noise_elements=("noise", "site"))
         calls = []
         array_equal = np.array_equal
@@ -477,10 +511,11 @@ class TestBuildMatrices:
         monkeypatch.setattr(np, "array_equal", counting)
         props = popgcn.build_propagation_matrices(ds)
         assert len(props) == 3
-        assert calls == [(ds.n_nodes, ds.n_nodes)] * 6
+        assert calls == [(ds.n_nodes, ds.n_nodes)] * 3
 
     def test_each_graph_array_scanned_once_past_one_tile(self, monkeypatch):
-        # many tile pairs per array, still one symmetry scan per array
+        # many tile pairs per array, still one symmetry scan per affinity
+        # and none per operator
         ds = quick_dataset(n_nodes=2 * TILE + 3,
                            noise_elements=("noise", "site"))
         calls = []
@@ -493,7 +528,36 @@ class TestBuildMatrices:
         monkeypatch.setattr(graph, "_exactly_symmetric", counting)
         props = popgcn.build_propagation_matrices(ds)
         assert len(props) == 3
-        assert calls == [(ds.n_nodes, ds.n_nodes)] * 6
+        assert calls == [(ds.n_nodes, ds.n_nodes)] * 3
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, TILE - 1, TILE + 1]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           columns=st.lists(st.tuples(
+               st.sampled_from(["tied", "constant", "continuous"]),
+               st.sampled_from([popgcn.EQUALITY, popgcn.THRESHOLD]),
+               st.floats(1e-3, 10.0)), min_size=1, max_size=3),
+           threads=st.integers(1, 3))
+    def test_built_operators_pass_the_public_checks(self, n, seed, columns,
+                                                    threads):
+        rng = np.random.default_rng(seed)
+        demographics = np.column_stack([
+            rng.integers(0, 3, n) if values == "tied"
+            else np.full(n, 4.0) if values == "constant"
+            else rng.normal(50.0, 10.0, n)
+            for values, _, _ in columns])
+        names = tuple(f"e{k}" for k in range(len(columns)))
+        rules = [popgcn.EdgeRule(name, kind,
+                                 beta if kind == popgcn.THRESHOLD else None)
+                 for name, (_, kind, beta) in zip(names, columns)]
+        ds = popgcn.Dataset(rng.standard_normal((n, 4)), np.arange(n) % 2,
+                            demographics, names, 2)
+        with mock.patch.object(graph, "_build_threads",
+                               lambda n_calls: min(n_calls, threads)):
+            props = popgcn.build_propagation_matrices(ds, rules)
+        assert len(props) == len(rules)
+        for prop in props:
+            assert popgcn.PropagationMatrix(matrix=prop.matrix).n_nodes == n
 
     def test_operators_match_the_unfused_formulas(self):
         # an equality rule and two threshold rules on a graph of many tiles

@@ -532,8 +532,8 @@ class TestCVPlumbing:
         props = popgcn.build_propagation_matrices(ds)
         configs = [quick_config(), quick_config(hidden_dims=(4,)),
                    quick_config(seed=1), quick_config(folds=2)]
-        alone = [_stripped(popgcn.run_cv(ds, config, props))
-                 for config in configs]
+        alone = [_stripped(report) for config in configs
+                 for report in train_mod.cross_validate(ds, [(config, props)])]
         splits = []
         real_split = train_mod.cv_folds_and_seeds
 
@@ -602,12 +602,6 @@ class TestRunCV:
         report = popgcn.run_cv(ds, quick_config(edge_rules=rules))
         assert report.config["edge_rules"] == [
             {"element": "informative", "kind": "equality", "beta": None}]
-
-    def test_prebuilt_props_must_match_rules(self):
-        ds = quick_dataset()
-        props = popgcn.build_propagation_matrices(ds)
-        with pytest.raises(ValueError, match="1 propagation matrices for 2"):
-            popgcn.run_cv(ds, quick_config(), props[:1])
 
     def test_accuracy_scored_only_by_evaluate(self, monkeypatch,
                                               serial_folds):
