@@ -241,9 +241,13 @@ def _set_up(args) -> tuple[RunConfig, Dataset, TrainConfig]:
         run.synth = replace(run.synth, seed=given["seed"])
     if args.out is not None:
         run.out = _path("--out", args.out)
-    if run.out is not None and Path(run.out).is_dir():  # before any work
-        raise ConfigError("out" if args.out is None else "--out",
-                          f"{run.out!r} is a directory")
+    if run.out is not None:  # refused before any work
+        field = "out" if args.out is None else "--out"
+        if Path(run.out).is_dir():
+            raise ConfigError(field, f"{run.out!r} is a directory")
+        existing = [path for path in Path(run.out).parents if path.exists()]
+        if existing and not existing[0].is_dir():
+            raise ConfigError(field, f"{str(existing[0])!r} is not a directory")
     if getattr(args, "baselines", None) is not None:
         run.baselines = _check_baselines("--baselines",
                                          args.baselines.split(","))

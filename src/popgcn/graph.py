@@ -207,9 +207,10 @@ def similarity_matrix(features) -> np.ndarray:
     one tile and its mirror at a time, in place: one call per block row of
     tiles, spread over threads by ``_in_threads``.
 
-    The centred rows take an N x d array of their own, freed once the
-    product is taken. The product runs on one OpenBLAS thread, so the bits
-    do not depend on the BLAS thread setting.
+    Beside the N x N result, the centred rows take an N x d array, freed
+    once the product is taken; the walk keeps no scratch of its own. The
+    product runs on one OpenBLAS thread, so the bits do not depend on the
+    BLAS thread setting.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] < 2:
@@ -231,14 +232,8 @@ def similarity_matrix(features) -> np.ndarray:
     del centred
     scale = 1.0 / (feats.shape[1] - 1)
     std = np.sqrt(np.diagonal(sim) * scale)
-    blocks = list(_row_blocks(len(sim)))
-    # one tile per block of rows for its diagonal tile's sum, allocated
-    # here: a thread's malloc arena would keep what the thread allocates
-    tile = min(_SYMMETRY_TILE, len(sim))
-    sums = np.empty((len(blocks), tile, tile))
-    _in_threads([functools.partial(_correlate_block_row, sim, std, scale,
-                                   rows, total)
-                 for rows, total in zip(blocks, sums)])
+    _in_threads([functools.partial(_correlate_block_row, sim, std, scale, rows)
+                 for rows in _row_blocks(len(sim))])
     np.fill_diagonal(sim, 1.0)
     return sim
 
@@ -288,24 +283,23 @@ def _to_correlation(part, std, scale, rows, cols) -> None:
     np.clip(part, -1.0, 1.0, out=part)
 
 
-def _correlate_block_row(sim, std, scale, rows, diagonal_sum) -> None:
+def _correlate_block_row(sim, std, scale, rows) -> None:
     """Turn the tiles of ``sim``, the product of the centred features, in
     block row ``rows`` on or above the diagonal, and their mirrors, into
     clip((corr + corr.T) / 2, 0, 1). Block rows touch disjoint tiles, so
-    they may run in parallel. The diagonal tile, its own mirror, is summed
-    into ``diagonal_sum``."""
+    they may run in parallel. The diagonal tile is its own mirror: NumPy
+    copies it before adding its transpose, and the sum is exactly
+    symmetric, so it needs no mirror write."""
     for cols in _row_blocks(len(sim), rows.start):
         upper, lower = sim[rows, cols], sim[cols, rows]
         _to_correlation(upper, std, scale, rows, cols)
-        if cols == rows:
-            n = len(upper)
-            total = np.add(upper, upper.T, out=diagonal_sum[:n, :n])
-        else:
+        if cols != rows:
             _to_correlation(lower, std, scale, cols, rows)
-            total = np.add(upper, lower.T, out=upper)
-        total /= 2.0
-        np.clip(total, 0.0, 1.0, out=total)
-        lower[...] = total.T
+        np.add(upper, lower.T, out=upper)
+        upper /= 2.0
+        np.clip(upper, 0.0, 1.0, out=upper)
+        if cols != rows:
+            lower[...] = upper.T
 
 
 def build_affinity(sim, edges, element_name: str = "", *,
@@ -453,28 +447,21 @@ def _in_threads(calls) -> list:
     return results
 
 
-def _edges(dataset: Dataset, rule: EdgeRule, buffer) -> np.ndarray:
-    """``rule``'s edge matrix, built in ``buffer``."""
-    column = dataset.demographics[:, dataset.element_index(rule.element)]
-    return build_edge_matrix(column, rule, out=buffer)
-
-
 def build_affinity_matrices(dataset: Dataset, rules=None) -> list[AffinityMatrix]:
     """One similarity-weighted graph per rule (none or empty: the defaults).
 
-    The similarity matrix is computed once and shared across all graphs.
-    Two rounds of ``_in_threads`` build them: the similarity beside the
-    edges of every rule, then every affinity. Each graph's edges, then its
-    affinity, overwrite one N x N array. The bits and the error are a
-    serial build's: the similarity's, then the default rules', then the
-    first failing rule's. A rule naming no element of ``dataset`` is a
-    ``DataError``.
+    The rules and their columns are resolved first, in the calling thread:
+    the default rules' error, then a rule naming no element of ``dataset``
+    (a ``DataError``), comes before any buffer or thread. The similarity
+    matrix is then computed once and shared across all graphs. Two rounds
+    of ``_in_threads`` build them: the similarity beside the edges of every
+    rule, then every affinity. Each graph's edges, then its affinity,
+    overwrite one N x N array. The bits and the error are a serial
+    build's: the similarity's, then the first failing rule's.
     """
-    try:
-        rules = rules_or_defaults(dataset, rules)
-    except DataError:
-        similarity_matrix(dataset.features)  # a serial build fails here first
-        raise
+    rules = rules_or_defaults(dataset, rules)
+    columns = [dataset.demographics[:, dataset.element_index(rule.element)]
+               for rule in rules]
     n = dataset.n_nodes
     # Every N x N buffer comes from this thread. A thread that allocates its
     # own keeps the freed memory in its malloc arena, which raised the peak
@@ -482,8 +469,8 @@ def build_affinity_matrices(dataset: Dataset, rules=None) -> list[AffinityMatrix
     buffers = [np.empty((n, n)) for _ in rules]
     sim, *edges = _in_threads(
         [functools.partial(similarity_matrix, dataset.features)]
-        + [functools.partial(_edges, dataset, rule, buffer)
-           for rule, buffer in zip(rules, buffers)])
+        + [functools.partial(build_edge_matrix, column, rule, out=buffer)
+           for column, rule, buffer in zip(columns, rules, buffers)])
     return _in_threads([functools.partial(build_affinity, sim, matrix,
                                           rule.element, out=matrix)
                         for rule, matrix in zip(rules, edges)])

@@ -188,8 +188,6 @@ def train_model(dataset: Dataset, props, config: TrainConfig, seed,
     labels = dataset.labels
 
     best_loss = np.inf
-    best_params = params.copy()
-    best_epoch = -1
     stale = 0
 
     trace = model_forward(props, features, params, config.dropout_rate, rng,

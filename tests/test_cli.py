@@ -239,6 +239,54 @@ def test_out_naming_a_directory_refused_before_any_work(
         f"error: config: {field}: {str(tmp_path)!r} is a directory"]
 
 
+@pytest.mark.parametrize("command", ["cv", "compare", "graph-stats"])
+@pytest.mark.parametrize("field", ["--out", "out"])
+def test_out_under_a_file_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, command, field):
+    # it was refused only when the report's folder was made, after every fold
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(popgcn.cli, "generate_synthetic", no_work)
+    monkeypatch.setattr(popgcn.graph, "similarity_matrix", no_work)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = str(afile / "sub" / "report.json")
+    if field == "--out":
+        argv = ["--config", write_config(tmp_path), "--out", out]
+    else:
+        argv = ["--config", write_config(tmp_path, out=out)]
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: {field}: {str(afile)!r} is not a directory"]
+    assert afile.read_text() == "kept\n"
+
+
+def test_double_fault_named_alike_by_main_and_the_library(tmp_path, capsys):
+    # a constant feature row and a finite column whose standard deviation
+    # overflows: the commands and the library resolve the rules first
+    ds = quick_dataset()
+    ds.features[0] = 2.0
+    noise = ds.demographics[:, ds.element_index("noise")]
+    noise[2], noise[5] = 1e308, -1e308
+    paths = popgcn.save_dataset(ds, tmp_path / "data")
+    config = write_config(tmp_path, data={
+        key: str(path) for key, path in paths.items()})
+    message = ("element 'noise': the standard deviation of its column is "
+               "not finite, so it has no default threshold")
+    for command in ("cv", "compare", "graph-stats"):
+        assert main([command, "--config", config]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    loaded = popgcn.load_dataset(paths["features"], paths["labels"],
+                                 paths["demographics"])
+    for call in (lambda: popgcn.run_cv(loaded, popgcn.TrainConfig()),
+                 lambda: popgcn.build_affinity_matrices(loaded),
+                 lambda: popgcn.build_propagation_matrices(loaded)):
+        with pytest.raises(popgcn.GraphError) as err:
+            call()
+        assert str(err.value) == message
+
+
 # each setting refused once from its flag and once from the config file,
 # with the same line; the ids name a row by its first two values
 @pytest.mark.parametrize("command", ["cv", "compare"])

@@ -236,6 +236,24 @@ class TestSimilarityMatrix:
         with pytest.raises(GraphError, match="feature row 3 is constant"):
             popgcn.similarity_matrix(feats)
 
+    def test_peak_memory_is_the_result_plus_one_tile_per_thread(
+            self, threaded_build):
+        # 4 block rows in 2 threads: beside the result, the centred rows
+        # while the product runs, then per thread one copy of a diagonal
+        # tile and the iteration buffers of one ufunc on up to 3 strided
+        # tiles; a scratch tile per block row held 4
+        n, d = 1000, 20
+        feats = np.random.default_rng(0).standard_normal((n, d))
+        per_thread = TILE * TILE * 8 + 3 * np.getbufsize() * 8
+        bound = n * n * 8 + n * d * 8 + 2 * per_thread
+        tracemalloc.start()
+        try:
+            popgcn.similarity_matrix(feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
+
     @pytest.mark.parametrize("threads", [1, 2, 6])
     def test_bits_whatever_the_thread_count(self, monkeypatch, threads):
         # six block rows of tiles in 1, 2 or 6 threads, switching often:
@@ -597,6 +615,10 @@ def _three_element_dataset(n_nodes=TILE + 1):
     return ds
 
 
+def _no_call(*args, **kwargs):
+    raise AssertionError("called")
+
+
 def _graph_bytes(graphs) -> list:
     return [(g.weights if isinstance(g, popgcn.AffinityMatrix)
              else g.matrix).tobytes() for g in graphs]
@@ -829,24 +851,43 @@ class TestThreadedBuild:
         assert len(popgcn.build_affinity_matrices(ds)) == 3
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_constant_feature_row_named_before_an_overflowing_column(
+    def test_overflowing_column_named_before_a_constant_feature_row(
             self, monkeypatch, threads):
-        # a serial build computes the similarity before it resolves the
-        # default rules; resolving them first named the column instead
+        # the rules resolve before any work, as through main: the default
+        # rules' error comes first, and no similarity is computed for it
         ds = _three_element_dataset()
         ds.features[3] = 2.0
         noise = ds.demographics[:, ds.element_index("noise")]
         noise[2], noise[5] = 1e308, -1e308
-        with pytest.raises(GraphError, match="element 'noise': the standard"):
-            popgcn.default_edge_rules(ds)
         monkeypatch.setattr(graph, "_build_threads",
                             lambda n_jobs: min(n_jobs, threads))
+        monkeypatch.setattr(graph, "similarity_matrix", _no_call)
         for build in (popgcn.build_affinity_matrices,
                       popgcn.build_propagation_matrices):
             with pytest.raises(GraphError) as err:
                 build(ds)
-            assert str(err.value) == ("feature row 3 is constant; "
-                                      "correlation undefined")
+            assert str(err.value) == (
+                "element 'noise': the standard deviation of its column is "
+                "not finite, so it has no default threshold")
+
+    def test_rule_naming_no_element_refused_before_any_work(
+            self, monkeypatch, threaded_build):
+        # a constant feature row would fail the similarity, which the
+        # unknown element's error comes before
+        ds = _three_element_dataset()
+        ds.features[3] = 2.0
+        rules = [popgcn.EdgeRule("informative", popgcn.EQUALITY),
+                 popgcn.EdgeRule("scanner", popgcn.EQUALITY)]
+        monkeypatch.setattr(graph, "similarity_matrix", _no_call)
+        monkeypatch.setattr(threading, "Thread", _no_call)
+        for build in (popgcn.build_affinity_matrices,
+                      popgcn.build_propagation_matrices):
+            with pytest.raises(DataError) as err:
+                build(ds, rules)
+            assert type(err.value) is DataError
+            assert str(err.value) == (
+                "unknown demographic element 'scanner'; "
+                "available: ['informative', 'noise', 'site']")
 
     @pytest.mark.parametrize("slow, first", [
         ("similarity_matrix", ["build_edge_matrix"] * 3 + [
