@@ -84,9 +84,11 @@ def subset_runs(dataset: Dataset, config: TrainConfig, props, subsets) -> dict:
     for subset in subsets:
         if not subset:
             raise DataError("empty graph subset", "subsets")
-        for name in subset:
+        for i, name in enumerate(subset):
             if name not in position:
                 raise DataError(f"unknown element {name!r}", "subsets")
+            if name in subset[:i]:
+                raise DataError(f"repeated element {name!r}", "subsets")
         picks = [position[name] for name in dataset.element_names
                  if name in subset]
         key = "+".join(rules[i].element for i in picks)

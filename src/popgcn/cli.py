@@ -181,6 +181,8 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError("$", f"config file not found: {path}")
+    if path.is_dir():
+        raise ConfigError("--config", f"{str(path)!r} is a directory")
     try:
         raw = json.loads(path.read_text(), object_pairs_hook=_json_object)
     except ValueError as err:  # also ints past the str conversion limit
@@ -230,6 +232,14 @@ def _write_report(report: dict, out_path: str | None) -> str:
     return f" -> {path}"
 
 
+def _check_folder(field: str, folder: Path) -> None:
+    """Refuse ``folder`` if the first of it and its parents to exist is not
+    a directory: nothing could be written under it."""
+    existing = [path for path in (folder, *folder.parents) if path.exists()]
+    if existing and not existing[0].is_dir():
+        raise ConfigError(field, f"{str(existing[0])!r} is not a directory")
+
+
 def _set_up(args) -> tuple[RunConfig, Dataset, TrainConfig]:
     """Load ``--config`` with the flags folded in, materialize the dataset
     and resolve its edge rules into the train config."""
@@ -245,9 +255,7 @@ def _set_up(args) -> tuple[RunConfig, Dataset, TrainConfig]:
         field = "out" if args.out is None else "--out"
         if Path(run.out).is_dir():
             raise ConfigError(field, f"{run.out!r} is a directory")
-        existing = [path for path in Path(run.out).parents if path.exists()]
-        if existing and not existing[0].is_dir():
-            raise ConfigError(field, f"{str(existing[0])!r} is not a directory")
+        _check_folder(field, Path(run.out).parent)
     if getattr(args, "baselines", None) is not None:
         run.baselines = _check_baselines("--baselines",
                                          args.baselines.split(","))
@@ -269,7 +277,9 @@ def cmd_synth(args) -> int:
              "noise_elements": args.noise, "seed": args.seed}
     given = {key: value for key, value in flags.items() if value is not None}
     config = _parse_dataclass("synth", given, SynthConfig)
-    paths = save_dataset(generate_synthetic(config), _path("--out", args.out))
+    out = _path("--out", args.out)
+    _check_folder("--out", Path(out))
+    paths = save_dataset(generate_synthetic(config), out)
     for name in ("features", "labels", "demographics"):
         print(f"{name}: {paths[name]}")
     return 0

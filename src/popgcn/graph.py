@@ -58,25 +58,25 @@ class EdgeRule:
 
 
 # Edge of the square tiles that the symmetry scan compares with their
-# mirrors and the similarity walk turns into correlations, and the row count
-# of the blocks the checks and the normalization take at a time. A pair of
-# 256 x 256 float64 tiles (1 MB) stays in cache while the mirror is read
-# column-wise; the full-matrix ``array.T`` read misses on every row.
+# mirrors: a pair of 256 x 256 float64 tiles (1 MB) stays in cache while the
+# mirror is read column-wise; the full-matrix ``array.T`` read misses on
+# every row. A row pass (the similarity walk, the normalization's scale
+# products, the checks' masks) takes blocks of at most one tile's items.
 _SYMMETRY_TILE = 256
 
 
-def _row_blocks(n: int, start: int = 0):
-    """Slices of ``_SYMMETRY_TILE`` rows covering rows ``start`` to ``n``: a
-    check's boolean mask or a scaling's operand is built one block at a
-    time, never N x N at once."""
-    return (slice(i, i + _SYMMETRY_TILE)
-            for i in range(start, n, _SYMMETRY_TILE))
+def _row_blocks(shape):
+    """Slices of rows covering a 2-D array of ``shape``, each block at most
+    one tile's items, or one row: a check's boolean mask or a scaling's
+    operand is built one block at a time, never N x N at once."""
+    step = max(1, _SYMMETRY_TILE ** 2 // max(shape[1], 1))
+    return (slice(i, i + step) for i in range(0, shape[0], step))
 
 
 def _any_rows(array: np.ndarray, test) -> bool:
     """``np.any(test(array))``, one block of rows at a time."""
-    array = np.atleast_1d(array)
-    return any(np.any(test(array[rows])) for rows in _row_blocks(len(array)))
+    array = np.atleast_2d(array)
+    return any(np.any(test(array[rows])) for rows in _row_blocks(array.shape))
 
 
 def _checked_out(out, shape) -> np.ndarray | None:
@@ -88,19 +88,13 @@ def _checked_out(out, shape) -> np.ndarray | None:
     return out
 
 
-def _tile_pairs(n: int):
-    """``(rows, cols)`` slices of every tile on or above the diagonal of an
-    n x n array; ``array[cols, rows]`` is the tile's mirror."""
-    for rows in _row_blocks(n):
-        for cols in _row_blocks(n, rows.start):
-            yield rows, cols
-
-
 def _exactly_symmetric(array: np.ndarray) -> bool:
     """``np.array_equal(array, array.T)`` for a square 2-D array, computed
     one tile on or above the diagonal at a time against its mirror tile."""
-    return all(np.array_equal(array[rows, cols], array[cols, rows].T)
-               for rows, cols in _tile_pairs(array.shape[0]))
+    n, tile = array.shape[0], _SYMMETRY_TILE
+    return all(np.array_equal(array[i:i + tile, j:j + tile],
+                              array[j:j + tile, i:i + tile].T)
+               for i in range(0, n, tile) for j in range(i, n, tile))
 
 
 def _symmetric_float64(array, what: str) -> np.ndarray:
@@ -203,14 +197,15 @@ def similarity_matrix(features) -> np.ndarray:
 
     The bits are those of ``np.clip((c + c.T) / 2, 0, 1)`` with ``c =
     np.corrcoef(features)`` and a unit diagonal: the same product of the
-    centred rows, then the same elementwise steps in the same order, taken
-    one tile and its mirror at a time, in place: one call per block row of
-    tiles, spread over threads by ``_in_threads``.
+    centred rows, then the same elementwise steps in the same order, in
+    place, one block of whole rows per call, spread over threads by
+    ``_in_threads``. NumPy computes the product as one triangle and copies
+    it, so it is exactly symmetric, and a row holds its mirror's entries.
 
     Beside the N x N result, the centred rows take an N x d array, freed
-    once the product is taken; the walk keeps no scratch of its own. The
-    product runs on one OpenBLAS thread, so the bits do not depend on the
-    BLAS thread setting.
+    once the product is taken; each call holds one block of the mirror's
+    entries, at most one tile's items. The product runs on one OpenBLAS
+    thread, so the bits do not depend on the BLAS thread setting.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] < 2:
@@ -232,8 +227,8 @@ def similarity_matrix(features) -> np.ndarray:
     del centred
     scale = 1.0 / (feats.shape[1] - 1)
     std = np.sqrt(np.diagonal(sim) * scale)
-    _in_threads([functools.partial(_correlate_block_row, sim, std, scale, rows)
-                 for rows in _row_blocks(len(sim))])
+    _in_threads([functools.partial(_correlate_rows, sim, std, scale, rows)
+                 for rows in _row_blocks(sim.shape)])
     np.fill_diagonal(sim, 1.0)
     return sim
 
@@ -275,31 +270,23 @@ def _one_blas_thread(fn, *args):
             put(threads)
 
 
-def _to_correlation(part, std, scale, rows, cols) -> None:
-    """np.corrcoef's steps on the covariance tile ``part``, in place."""
-    part *= scale
-    part /= std[rows, None]
-    part /= std[None, cols]
-    np.clip(part, -1.0, 1.0, out=part)
-
-
-def _correlate_block_row(sim, std, scale, rows) -> None:
-    """Turn the tiles of ``sim``, the product of the centred features, in
-    block row ``rows`` on or above the diagonal, and their mirrors, into
-    clip((corr + corr.T) / 2, 0, 1). Block rows touch disjoint tiles, so
-    they may run in parallel. The diagonal tile is its own mirror: NumPy
-    copies it before adding its transpose, and the sum is exactly
-    symmetric, so it needs no mirror write."""
-    for cols in _row_blocks(len(sim), rows.start):
-        upper, lower = sim[rows, cols], sim[cols, rows]
-        _to_correlation(upper, std, scale, rows, cols)
-        if cols != rows:
-            _to_correlation(lower, std, scale, cols, rows)
-        np.add(upper, lower.T, out=upper)
-        upper /= 2.0
-        np.clip(upper, 0.0, 1.0, out=upper)
-        if cols != rows:
-            lower[...] = upper.T
+def _correlate_rows(sim, std, scale, rows) -> None:
+    """Turn rows ``rows`` of ``sim``, the exactly symmetric product of the
+    centred features, into clip((corr + corr.T) / 2, 0, 1) in place: entry
+    (i, j) of corr.T is np.corrcoef's steps on the product's (i, j) entry
+    with the two divisions swapped. Each call touches only its own rows,
+    so calls may run in parallel."""
+    block = sim[rows]
+    block *= scale
+    mirror = block / std
+    mirror /= std[rows, None]
+    np.clip(mirror, -1.0, 1.0, out=mirror)
+    block /= std[rows, None]
+    block /= std
+    np.clip(block, -1.0, 1.0, out=block)
+    block += mirror
+    block /= 2.0
+    np.clip(block, 0.0, 1.0, out=block)
 
 
 def build_affinity(sim, edges, element_name: str = "", *,
@@ -340,7 +327,7 @@ def normalize_affinity(affinity: AffinityMatrix, *,
     np.fill_diagonal(augmented, 1.0)  # W + I exactly: W's diagonal is zero
     inv_sqrt_degree = 1.0 / np.sqrt(augmented.sum(axis=1))
     # a block of rows at a time: the scales' product is never N x N
-    for rows in _row_blocks(affinity.n_nodes):
+    for rows in _row_blocks(augmented.shape):
         augmented[rows] *= inv_sqrt_degree[rows, None] * inv_sqrt_degree
     prop = object.__new__(PropagationMatrix)
     object.__setattr__(prop, "matrix", augmented)
@@ -391,7 +378,7 @@ def _usable_cpus() -> int:
 
 def _build_threads(n_calls: int) -> int:
     """Threads for ``_in_threads`` to make ``n_calls`` graph-build calls in
-    (element stages, or block rows of the similarity); 1 means the calling
+    (element stages, or row blocks of the similarity); 1 means the calling
     thread alone.
 
     Every usable CPU takes one call at a time: the calls are elementwise

@@ -262,6 +262,7 @@ class TestSubsetRuns:
         ([["noise"], []], "empty graph subset"),
         ([["noise", "informative"], ["informative", "noise"]],
          "repeated subset 'informative+noise'"),
+        ([["noise", "informative", "noise"]], "repeated element 'noise'"),
     ])
     def test_refusal_names_the_subsets_field(self, subsets, message):
         ds = quick_dataset()

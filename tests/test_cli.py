@@ -240,6 +240,15 @@ def test_out_naming_a_directory_refused_before_any_work(
 
 
 @pytest.mark.parametrize("command", ["cv", "compare", "graph-stats"])
+def test_config_naming_a_directory_is_one_config_line(tmp_path, capsys,
+                                                      command):
+    # reading it printed "error: [Errno 21] Is a directory"
+    assert main([command, "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: --config: {str(tmp_path)!r} is a directory"]
+
+
+@pytest.mark.parametrize("command", ["cv", "compare", "graph-stats"])
 @pytest.mark.parametrize("field", ["--out", "out"])
 def test_out_under_a_file_refused_before_any_work(
         tmp_path, capsys, monkeypatch, command, field):
@@ -554,6 +563,21 @@ class TestSynthCommand:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: element name {name!r} ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+    def test_out_at_or_under_a_file_refused_before_generating(
+            self, tmp_path, capsys, monkeypatch, sub):
+        # mkdir raised FileExistsError or NotADirectoryError, printed raw
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(popgcn.cli, "generate_synthetic", no_work)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert main(["synth", "--out", str(afile / sub)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config: --out: {str(afile)!r} is not a directory"]
+        assert afile.read_text() == "kept\n"
 
 
 class TestCvCommand:
@@ -940,6 +964,11 @@ class TestCompareCommand:
          "error: config: compare.subsets: unknown element ''"),
         (["--subsets", "informative,,noise"], {},
          "error: config: compare.subsets: unknown element ''"),
+        # one element named twice trained the subset of that element alone
+        (["--subsets", "informative+informative"], {},
+         "error: config: compare.subsets: repeated element 'informative'"),
+        ([], {"compare": {"subsets": [["informative", "informative"]]}},
+         "error: config: compare.subsets: repeated element 'informative'"),
     ])
     def test_repeated_entry_fails_before_training(self, tmp_path, capsys,
                                                   monkeypatch, flag, extra,

@@ -238,10 +238,9 @@ class TestSimilarityMatrix:
 
     def test_peak_memory_is_the_result_plus_one_tile_per_thread(
             self, threaded_build):
-        # 4 block rows in 2 threads: beside the result, the centred rows
-        # while the product runs, then per thread one copy of a diagonal
-        # tile and the iteration buffers of one ufunc on up to 3 strided
-        # tiles; a scratch tile per block row held 4
+        # 16 row blocks in 2 threads: beside the result, the centred rows
+        # while the product runs, then per thread one block of mirror
+        # entries (at most one tile's items) and ufunc iteration buffers
         n, d = 1000, 20
         feats = np.random.default_rng(0).standard_normal((n, d))
         per_thread = TILE * TILE * 8 + 3 * np.getbufsize() * 8
@@ -256,9 +255,9 @@ class TestSimilarityMatrix:
 
     @pytest.mark.parametrize("threads", [1, 2, 6])
     def test_bits_whatever_the_thread_count(self, monkeypatch, threads):
-        # six block rows of tiles in 1, 2 or 6 threads, switching often:
-        # the threads write disjoint tiles of one array, and a write into
-        # another thread's tile would change the bytes
+        # 26 row blocks in 1, 2 or 6 threads, switching often: the threads
+        # write disjoint rows of one array, and a write into another
+        # thread's rows would change the bytes
         feats = np.random.default_rng(6).standard_normal((5 * TILE + 7, 9))
         sim = corrcoef_on_one_blas_thread(feats)
         expected = np.clip((sim + sim.T) / 2.0, 0.0, 1.0)
@@ -273,14 +272,31 @@ class TestSimilarityMatrix:
             sys.setswitchinterval(interval)
         assert sim.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("n", [3, TILE, TILE + 1, 2 * TILE + 3])
+    # 1000 rows end in a partial block of 25
+    @pytest.mark.parametrize("n", [3, TILE, TILE + 1, 2 * TILE + 3, 1000])
     def test_bits_of_the_full_matrix_formula(self, n):
         feats = np.random.default_rng(n).standard_normal((n, 7))
         feats[0] *= 1e150  # large but in range: still correlated exactly
-        sim = corrcoef_on_one_blas_thread(feats)
-        expected = np.clip((sim + sim.T) / 2.0, 0.0, 1.0)
-        np.fill_diagonal(expected, 1.0)
-        assert popgcn.similarity_matrix(feats).tobytes() == expected.tobytes()
+        # correlations of exactly +-1, or a rounding past them, meet the
+        # [-1, 1] clip
+        tied = feats.copy()
+        tied[n - 1], tied[n - 2] = tied[0], -tied[0]
+        for cohort in (feats, tied):
+            sim = corrcoef_on_one_blas_thread(cohort)
+            expected = np.clip((sim + sim.T) / 2.0, 0.0, 1.0)
+            np.fill_diagonal(expected, 1.0)
+            assert (popgcn.similarity_matrix(cohort).tobytes()
+                    == expected.tobytes())
+
+    @pytest.mark.parametrize("d", [2, 7, 500])
+    @pytest.mark.parametrize("n", [2, TILE + 1, 1000])
+    def test_product_of_centred_rows_is_exactly_symmetric(self, n, d):
+        # the walk reads each entry's mirror value off its own row; a NumPy
+        # or BLAS whose a @ a.T rounds the two triangles apart fails here
+        feats = np.random.default_rng(n * d).standard_normal((n, d))
+        centred = feats - feats.mean(axis=1, keepdims=True)
+        product = graph._one_blas_thread(np.matmul, centred, centred.T)
+        assert np.array_equal(product, product.T)
 
     def test_pins_in_two_threads_restore_the_thread_count(self,
                                                           monkeypatch):
