@@ -279,8 +279,12 @@ def cmd_synth(args) -> int:
     config = _parse_dataclass("synth", given, SynthConfig)
     out = _path("--out", args.out)
     _check_folder("--out", Path(out))
+    names = ("features", "labels", "demographics")
+    for target in (Path(out) / f"{name}.csv" for name in names):
+        if target.is_dir():  # refused before any file is written
+            raise ConfigError("--out", f"{str(target)!r} is a directory")
     paths = save_dataset(generate_synthetic(config), out)
-    for name in ("features", "labels", "demographics"):
+    for name in names:
         print(f"{name}: {paths[name]}")
     return 0
 

@@ -274,6 +274,8 @@ def _read_csv_matrix(path, *, header: bool):
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: file not found")
+    if path.is_dir():
+        raise DataError(f"{path}: is a directory")
     try:  # decoded whole, so the error's byte offset gives its line
         text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as err:

@@ -164,11 +164,11 @@ def _layer_backward(props, hidden, grad_out):
 
 
 def softmax_rows(scores) -> np.ndarray:
-    """Row-wise softmax, stabilized by max subtraction."""
+    """Softmax over the last axis, stabilized by max subtraction."""
     scores = np.asarray(scores, dtype=np.float64)
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def class_weights(labels, mask) -> np.ndarray:
@@ -208,13 +208,15 @@ def model_forward(props, features, params: ModelParams, dropout_rate: float = 0.
     """Forward pass over all branches, fused into row-stochastic probabilities.
 
     During training every layer input (the feature matrix included) is
-    multiplied in place into an inverted-scaling dropout mask, all drawn up
-    front, branch by branch and input to output, so inference needs no
-    rescaling. Each layer runs every view in one kernel call: the training
-    operand, then with ``with_eval`` and masks the unmasked view behind
-    ``eval_probabilities`` (without masks that is the training view itself).
-    Only hidden layers are rectified; the last layer emits raw branch
-    logits, fused as ``sum_m omega_m * logits_m``.
+    multiplied in place into an inverted-scaling dropout mask, so inference
+    needs no rescaling; the masks are one (M, N * sum_l d_l) draw whose row
+    m holds branch m's N x d_l masks input to output, each layer's mask a
+    view of its column block. Each layer runs every view in one kernel call:
+    the training operand, then with ``with_eval`` and masks the unmasked
+    view behind ``eval_probabilities`` (without masks that is the training
+    view itself). Only hidden layers are rectified; the last layer's raw
+    branch logits are fused as ``sum_m omega_m * logits_m`` and softmaxed,
+    every view at once.
     """
     features = np.asarray(features, dtype=np.float64)
     if len(props) != params.n_branches:
@@ -231,14 +233,13 @@ def model_forward(props, features, params: ModelParams, dropout_rate: float = 0.
     if training and dropout_rate > 0.0:
         if rng is None:
             raise ValueError("training with dropout needs an rng")
-        # inverted-scaling masks, drawn branch by branch, input to output
-        masks = [np.empty((w.shape[0], len(features), w.shape[1]))
-                 for w in params.layers]
-        for m in range(params.n_branches):
-            for mask in masks:
-                drawn = rng.random(out=mask[m])
-                np.greater_equal(drawn, dropout_rate, out=drawn)
-                drawn /= 1.0 - dropout_rate
+        # inverted-scaling masks: one draw, branch by branch, input to output
+        widths = [len(features) * w.shape[1] for w in params.layers]
+        drawn = rng.random((params.n_branches, sum(widths)))
+        np.greater_equal(drawn, dropout_rate, out=drawn)
+        drawn /= 1.0 - dropout_rate
+        masks = [block.reshape(params.n_branches, len(features), -1) for block
+                 in np.split(drawn, np.cumsum(widths[:-1]), axis=1)]
         scale = 1.0 / (1.0 - dropout_rate)
     hidden = np.broadcast_to(features, (params.n_branches, *features.shape))
     views = [hidden] * (2 if with_eval and masks[0] is not None else 1)
@@ -250,9 +251,8 @@ def model_forward(props, features, params: ModelParams, dropout_rate: float = 0.
         logits = gc_layer_forward(props, views, theta)
         if i + 1 < params.n_layers:
             views = list(np.maximum(logits, 0.0))
-    fused = [np.sum(params.omega[:, None, None] * view, axis=0)
-             for view in logits]
-    probabilities = [softmax_rows(view) for view in fused]
+    fused = np.sum(params.omega[:, None, None] * logits, axis=1)
+    probabilities = list(softmax_rows(fused))
     return ForwardTrace(props=list(props), layer_inputs=inputs,
                         dropout_scale=scale, logits=logits[0],
                         fused_logits=fused[0], probabilities=probabilities[0],
@@ -284,15 +284,13 @@ def compute_gradients(trace: ForwardTrace, labels, mask, class_weights,
                                                        params.n_branches):
         raise ValueError("trace layers or branches do not match params")
 
-    n, k = trace.probabilities.shape
     picked = labels[mask]
-    one_hot = np.zeros((mask.size, k))
-    one_hot[np.arange(mask.size), picked] = 1.0
-    d_fused = np.zeros((n, k))
-    d_fused[mask] = (weights[picked] / mask.size)[:, None] * (
-        trace.probabilities[mask] - one_hot)
+    residual = trace.probabilities[mask]
+    residual[np.arange(mask.size), picked] -= 1.0
+    d_fused = np.zeros_like(trace.probabilities)
+    d_fused[mask] = (weights[picked] / mask.size)[:, None] * residual
 
-    omega_grad = np.array([np.sum(d_fused * logits) for logits in trace.logits])
+    omega_grad = (trace.logits * d_fused).reshape(params.n_branches, -1).sum(axis=1)
 
     grads = params.like(np.empty_like(params.filters), omega_grad)
     grad_out = params.omega[:, None, None] * d_fused

@@ -271,6 +271,19 @@ def test_out_under_a_file_refused_before_any_work(
     assert afile.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("key", ["features", "labels", "demographics"])
+def test_data_path_naming_a_directory_is_one_line(tmp_path, capsys, key):
+    # reading it printed "error: [Errno 21] Is a directory"
+    paths = popgcn.save_dataset(quick_dataset(), tmp_path / "data")
+    data = {name: str(path) for name, path in paths.items()}
+    data[key] = str(tmp_path)
+    config = write_config(tmp_path, data=data)
+    for command in ("cv", "compare", "graph-stats"):
+        assert main([command, "--config", config]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path}: is a directory"]
+
+
 def test_double_fault_named_alike_by_main_and_the_library(tmp_path, capsys):
     # a constant feature row and a finite column whose standard deviation
     # overflows: the commands and the library resolve the rules first
@@ -578,6 +591,17 @@ class TestSynthCommand:
         assert capsys.readouterr().err.splitlines() == [
             f"error: config: --out: {str(afile)!r} is not a directory"]
         assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name", ["features", "labels", "demographics"])
+    def test_target_naming_a_directory_refused_before_writing(
+            self, tmp_path, capsys, name):
+        # the files before it were written, then IsADirectoryError printed raw
+        target = tmp_path / f"{name}.csv"
+        target.mkdir()
+        assert main(["synth", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config: --out: {str(target)!r} is a directory"]
+        assert list(tmp_path.iterdir()) == [target]
 
 
 class TestCvCommand:

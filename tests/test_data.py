@@ -278,6 +278,17 @@ class TestLoadSave:
             popgcn.load_dataset(tmp_path / "nope.csv", tmp_path / "nope.csv",
                                 tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("which", range(3),
+                             ids=["features", "labels", "demographics"])
+    def test_directory_refused_as_a_file(self, tmp_path, which):
+        # reading it raised IsADirectoryError
+        ds = popgcn.generate_synthetic(popgcn.SynthConfig(n_nodes=10, seed=1))
+        paths = list(popgcn.save_dataset(ds, tmp_path).values())
+        paths[which] = tmp_path
+        with pytest.raises(DataError) as err:
+            popgcn.load_dataset(*paths)
+        assert str(err.value) == f"{tmp_path}: is a directory"
+
     def test_save_is_deterministic(self, tmp_path):
         ds = popgcn.generate_synthetic(popgcn.SynthConfig(n_nodes=10, seed=1))
         first = popgcn.save_dataset(ds, tmp_path / "a")

@@ -262,20 +262,22 @@ class TestBranchForward:
         # each branch's masks, input to output, then the next branch: the
         # draw order every report of a seed depends on
         feats = np.random.default_rng(17).standard_normal((6, 4))
-        props = [identity_prop(6), popgcn.PropagationMatrix(np.full((6, 6), 1 / 6))]
-        params = popgcn.init_params(4, (3,), 2, 2, np.random.default_rng(18))
+        props = [identity_prop(6), popgcn.PropagationMatrix(np.full((6, 6), 1 / 6)),
+                 popgcn.PropagationMatrix(np.eye(6)[::-1])]
+        params = popgcn.init_params(4, (5, 3), 2, 3, np.random.default_rng(18))
+        rng = np.random.default_rng(19)
         trace = popgcn.model_forward(props, feats, params, dropout_rate=0.4,
-                                     rng=np.random.default_rng(19),
-                                     training=True)
+                                     rng=rng, training=True)
         reference = np.random.default_rng(19)
-        first = popgcn.gc_layer_forward(props, [trace.layer_inputs[0]],
-                                        params.layers[0])[0]
-        for m in range(2):
-            for i, width in enumerate((4, 3)):
+        inputs = [np.broadcast_to(feats, (3, 6, 4))] + [
+            np.maximum(popgcn.gc_layer_forward(props, [operand], theta)[0], 0.0)
+            for operand, theta in zip(trace.layer_inputs, params.layers[:-1])]
+        for m in range(3):
+            for i, width in enumerate((4, 5, 3)):
                 expected = (reference.random((6, width)) >= 0.4) / 0.6
-                layer_input = feats if i == 0 else np.maximum(first[m], 0.0)
                 assert np.array_equal(trace.layer_inputs[i][m],
-                                      layer_input * expected)
+                                      inputs[i][m] * expected)
+        assert rng.random() == reference.random()
 
     def test_zero_rate_training_equals_inference(self):
         rng = np.random.default_rng(4)
@@ -347,6 +349,14 @@ class TestSoftmax:
         rng = np.random.default_rng(6)
         probs = popgcn.softmax_rows(rng.standard_normal((10, 5)) * 20)
         assert np.allclose(probs.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 17])
+    def test_stack_of_views_gives_each_view_its_bits(self, k):
+        # model_forward softmaxes its (V, N, K) views in one call
+        stack = np.random.default_rng(7).standard_normal((2, 10, k)) * 20
+        probs = popgcn.softmax_rows(stack)
+        for view, got in zip(stack, probs):
+            assert np.array_equal(got, popgcn.softmax_rows(view))
 
 
 class TestClassWeights:
