@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import (BaselineKind, averaged_propagation, baseline_run,
                         subset_runs)
-from .data import (DataError, Dataset, SynthConfig, _typed,
+from .data import (DataError, Dataset, SynthConfig, _typed, _write_files,
                    generate_synthetic, load_dataset, save_dataset)
 from .graph import (EdgeRule, GraphError, build_affinity_matrices,
                     build_propagation_matrices, default_edge_rules,
@@ -228,7 +228,7 @@ def _write_report(report: dict, out_path: str | None) -> str:
         return ""
     path = Path(out_path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n")
+    _write_files([(path, lambda handle: handle.write(text + "\n"))])
     return f" -> {path}"
 
 
@@ -330,7 +330,21 @@ def cmd_cv(args) -> int:
     print(f"cv: mean_acc={report['mean_acc']:.4f} "
           f"std_acc={report['std_acc']:.4f} folds={config.folds}{tail}",
           file=sys.stderr)
+    _warn_untrained_omega(report)
     return 0
+
+
+def _warn_untrained_omega(report: dict) -> None:
+    """Say on stderr how many folds of the ``cv`` report ``report`` took
+    their checkpoint in phase one although phase two ran: each kept the
+    1/M omega it was frozen at. Silent when none did."""
+    phase1 = report["config"]["phase1_epochs"]
+    folds = report["folds"]
+    untrained = sum(fold["best_epoch"] < phase1 < fold["stopped_epoch"]
+                    for fold in folds)
+    if untrained:
+        print(f"warning: omega untrained in {untrained}/{len(folds)} folds "
+              "(checkpoint before phase two)", file=sys.stderr)
 
 
 def cmd_compare(args) -> int:
@@ -373,6 +387,7 @@ def cmd_compare(args) -> int:
     summary = " ".join(f"{name}={acc:.4f}"
                        for name, acc in sorted(ranked.items()))
     print(f"compare: {summary}{tail}", file=sys.stderr)
+    _warn_untrained_omega(proposed)
     return 0
 
 

@@ -6,11 +6,13 @@ demographic matrix whose columns each define one population graph.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -377,7 +379,8 @@ def save_dataset(dataset: Dataset, out_dir) -> dict[str, Path]:
     bitwise and identical datasets produce byte-identical files. An element
     name the header cannot carry back unchanged (an empty one, or one with a
     comma, a quote, a line break or surrounding whitespace) is refused
-    before anything is written.
+    before anything is written. The three files are written all or none:
+    a failed write leaves every file under ``out_dir`` as it was.
     """
     for name in dataset.element_names:
         if (not name or name != name.strip()
@@ -393,11 +396,50 @@ def save_dataset(dataset: Dataset, out_dir) -> dict[str, Path]:
         "labels": out / "labels.csv",
         "demographics": out / "demographics.csv",
     }
-    np.savetxt(paths["features"], dataset.features, fmt="%.17g", delimiter=",")
-    np.savetxt(paths["labels"], dataset.labels.reshape(-1, 1), fmt="%d")
-    np.savetxt(paths["demographics"], dataset.demographics, fmt="%.17g",
-               delimiter=",", header=",".join(dataset.element_names), comments="")
+    _write_files([
+        (paths["features"], lambda handle: np.savetxt(
+            handle, dataset.features, fmt="%.17g", delimiter=",")),
+        (paths["labels"], lambda handle: np.savetxt(
+            handle, dataset.labels.reshape(-1, 1), fmt="%d")),
+        (paths["demographics"], lambda handle: np.savetxt(
+            handle, dataset.demographics, fmt="%.17g", delimiter=",",
+            header=",".join(dataset.element_names), comments="")),
+    ])
     return paths
+
+
+def _write_files(writes) -> None:
+    """Write every file of ``writes``, a list of (target path, function
+    filling an open text file) pairs, or none: each function fills a
+    temporary file in its target's directory, and only once all are full
+    does ``os.replace`` move each onto its target. A failure before then
+    removes the temporaries and leaves every target as it was."""
+    temps = []
+    try:
+        for target, write in writes:
+            temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            with _named_as(target):
+                handle = open(temp, "w")
+            temps.append(temp)
+            with handle:
+                write(handle)
+        for temp, (target, _) in zip(temps, writes):
+            with _named_as(target):
+                os.replace(temp, target)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+
+
+@contextlib.contextmanager
+def _named_as(target):
+    """Raise an ``OSError`` about a temporary file as one about its
+    ``target``, the message a direct write to it would give."""
+    try:
+        yield
+    except OSError as err:
+        raise type(err)(err.errno, err.strerror, str(target)) from None
 
 
 def stratified_kfold(labels, k: int, seed) -> list[FoldSplit]:

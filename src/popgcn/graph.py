@@ -97,6 +97,15 @@ def _exactly_symmetric(array: np.ndarray) -> bool:
                for i in range(0, n, tile) for j in range(i, n, tile))
 
 
+def _proven(cls, **fields):
+    """A ``cls`` holding ``fields`` without its checks: for arrays whose
+    construction proves every invariant the checks would scan for."""
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 def _symmetric_float64(array, what: str) -> np.ndarray:
     """``array`` as float64, checked square, finite and exactly symmetric."""
     array = np.asarray(array, dtype=np.float64)
@@ -193,7 +202,10 @@ def similarity_matrix(features) -> np.ndarray:
     rather than injecting negative weight into the degree normalization. The
     diagonal is exactly 1. A row whose centred sum of squares overflows, or
     underflows to zero, is refused: its correlations would read 0 or 1
-    whatever the data.
+    whatever the data. The product's diagonal, scaled, is checked the same
+    way, as its sum may underflow where the first did not; so every
+    division is by a finite positive number, and every entry is finite and
+    in [0, 1].
 
     The bits are those of ``np.clip((c + c.T) / 2, 0, 1)`` with ``c =
     np.corrcoef(features)`` and a unit diagonal: the same product of the
@@ -218,19 +230,27 @@ def similarity_matrix(features) -> np.ndarray:
     if flat.size:
         raise GraphError(
             f"feature row {flat[0]} is constant; correlation undefined")
+    _check_spread(squares)
+    sim = _one_blas_thread(np.matmul, centred, centred.T)  # corrcoef's
+    del centred
+    scale = 1.0 / (feats.shape[1] - 1)
+    variance = np.diagonal(sim) * scale
+    _check_spread(variance)  # may underflow where ``squares`` did not
+    std = np.sqrt(variance)
+    _in_threads([functools.partial(_correlate_rows, sim, std, scale, rows)
+                 for rows in _row_blocks(sim.shape)])
+    np.fill_diagonal(sim, 1.0)
+    return sim
+
+
+def _check_spread(squares) -> None:
+    """Refuse the first feature row whose centred sum of squares, or its
+    scaled value, is not finite and positive."""
     bad = np.flatnonzero(~(np.isfinite(squares) & (squares > 0)))
     if bad.size:
         raise GraphError(
             f"feature row {bad[0]} has a centred sum of squares that is not "
             f"finite and positive; correlation undefined")
-    sim = _one_blas_thread(np.matmul, centred, centred.T)  # corrcoef's
-    del centred
-    scale = 1.0 / (feats.shape[1] - 1)
-    std = np.sqrt(np.diagonal(sim) * scale)
-    _in_threads([functools.partial(_correlate_rows, sim, std, scale, rows)
-                 for rows in _row_blocks(sim.shape)])
-    np.fill_diagonal(sim, 1.0)
-    return sim
 
 
 @functools.cache
@@ -289,19 +309,31 @@ def _correlate_rows(sim, std, scale, rows) -> None:
     np.clip(block, 0.0, 1.0, out=block)
 
 
-def build_affinity(sim, edges, element_name: str = "", *,
-                   out=None) -> AffinityMatrix:
+def build_affinity(sim, edges, element_name: str = "", *, out=None,
+                   _built=False) -> AffinityMatrix:
     """Entrywise product of the similarity and binary edge matrices, written
-    into ``out`` when given (it may be ``sim`` or ``edges``)."""
+    into ``out`` when given (it may be ``sim`` or ``edges``).
+
+    ``_built`` is set only by ``build_affinity_matrices``, whose arrays
+    come from ``similarity_matrix`` and ``build_edge_matrix``: edges of
+    0.0/1.0, exactly symmetric and zero on the diagonal, and a finite,
+    exactly symmetric similarity in [0, 1]. Their product is then finite,
+    nonnegative, exactly symmetric and zero on the diagonal, so it is
+    returned without a scan.
+    """
     sim = np.asarray(sim, dtype=np.float64)
     edges = np.asarray(edges, dtype=np.float64)
     if sim.shape != edges.shape:
         raise GraphError(
             f"shape mismatch: similarity {sim.shape} vs edges {edges.shape}")
     # the product hides non-binary edges; AffinityMatrix checks the rest
-    if _any_rows(edges, lambda block: (block != 0.0) & (block != 1.0)):
+    if not _built and _any_rows(edges,
+                                lambda block: (block != 0.0) & (block != 1.0)):
         raise GraphError("edge matrix must be binary")
     weights = np.multiply(sim, edges, out=_checked_out(out, sim.shape))
+    if _built:
+        return _proven(AffinityMatrix, weights=weights,
+                       element_name=element_name)
     return AffinityMatrix(weights=weights, element_name=element_name)
 
 
@@ -329,10 +361,8 @@ def normalize_affinity(affinity: AffinityMatrix, *,
     # a block of rows at a time: the scales' product is never N x N
     for rows in _row_blocks(augmented.shape):
         augmented[rows] *= inv_sqrt_degree[rows, None] * inv_sqrt_degree
-    prop = object.__new__(PropagationMatrix)
-    object.__setattr__(prop, "matrix", augmented)
-    object.__setattr__(prop, "n_nodes", affinity.n_nodes)
-    return prop
+    return _proven(PropagationMatrix, matrix=augmented,
+                   n_nodes=affinity.n_nodes)
 
 
 def default_edge_rules(dataset: Dataset) -> list[EdgeRule]:
@@ -459,7 +489,8 @@ def build_affinity_matrices(dataset: Dataset, rules=None) -> list[AffinityMatrix
         + [functools.partial(build_edge_matrix, column, rule, out=buffer)
            for column, rule, buffer in zip(columns, rules, buffers)])
     return _in_threads([functools.partial(build_affinity, sim, matrix,
-                                          rule.element, out=matrix)
+                                          rule.element, out=matrix,
+                                          _built=True)
                         for rule, matrix in zip(rules, edges)])
 
 
@@ -472,9 +503,9 @@ def build_propagation_matrices(dataset: Dataset, rules=None) -> list[Propagation
 
 def graph_statistics(affinity: AffinityMatrix) -> dict:
     """Edge count, density, and degree histogram of one graph."""
-    adjacency = affinity.weights > 0
     n = affinity.n_nodes
-    degrees = adjacency.sum(axis=1)
+    # the weights are nonnegative, so a nonzero weight is an edge
+    degrees = np.count_nonzero(affinity.weights, axis=1)
     edge_count = int(degrees.sum()) // 2
     pairs = n * (n - 1) // 2
     return {

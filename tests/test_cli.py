@@ -604,7 +604,67 @@ class TestSynthCommand:
         assert list(tmp_path.iterdir()) == [target]
 
 
+    def test_failed_second_write_is_one_line_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        savetxt = np.savetxt
+        calls = []
+
+        def full_disk(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return savetxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "savetxt", full_disk)
+        assert main(["synth", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: [Errno 28] No space left on device"]
+        assert list(tmp_path.iterdir()) == []
+
+
+# so strong an L2 that each fold's best epoch comes before phase two, which
+# then runs its patience out: the fold keeps the 1/M omega of phase one
+COLLAPSING_TRAIN = {**QUICK_TRAIN, "phase1_epochs": 30,
+                    "max_total_epochs": 80, "patience": 10, "l2_coeff": 5.0}
+UNTRAINED_OMEGA = ("warning: omega untrained in 2/2 folds "
+                   "(checkpoint before phase two)")
+
+
 class TestCvCommand:
+    @pytest.mark.parametrize("train, warned", [
+        (QUICK_TRAIN, False), (COLLAPSING_TRAIN, True)],
+        ids=["healthy", "collapsing"])
+    def test_untrained_omega_is_one_more_stderr_line(
+            self, tmp_path, capsys, train, warned):
+        config = write_config(tmp_path, train=train)
+        out = tmp_path / "report.json"
+        assert main(["cv", "--config", config, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        phase1 = train["phase1_epochs"]
+        assert [fold["best_epoch"] < phase1 < fold["stopped_epoch"]
+                for fold in report["folds"]] == [warned, warned]
+        summary = (f"cv: mean_acc={report['mean_acc']:.4f} "
+                   f"std_acc={report['std_acc']:.4f} folds=2 -> {out}")
+        assert capsys.readouterr().err.splitlines() == (
+            [summary, UNTRAINED_OMEGA] if warned else [summary])
+
+    def test_failed_report_write_keeps_the_old_report(
+            self, tmp_path, capsys, monkeypatch):
+        # the report used to be written in place: an interrupt or a full
+        # disk mid-write left truncated JSON at its path
+        config = write_config(tmp_path)
+        out = tmp_path / "report.json"
+        out.write_text("old\n")
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        assert main(["cv", "--config", config, "--out", str(out)]) == 130
+        assert capsys.readouterr().err.splitlines() == ["error: interrupted"]
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json", out]
+        assert out.read_text() == "old\n"
+
     def test_one_subject_is_one_error_line(self, tmp_path, capsys):
         assert main(["cv", "--config", _one_subject_config(tmp_path)]) == 1
         lines = capsys.readouterr().err.splitlines()
@@ -844,6 +904,22 @@ class TestGraphStatsCommand:
 
 
 class TestCompareCommand:
+    @pytest.mark.parametrize("train, warned", [
+        (QUICK_TRAIN, False), (COLLAPSING_TRAIN, True)],
+        ids=["healthy", "collapsing"])
+    def test_untrained_omega_of_the_proposed_run_is_flagged(
+            self, tmp_path, capsys, train, warned):
+        config = write_config(tmp_path, train=train)
+        assert main(["compare", "--config", config, "--baselines", "linear",
+                     "--subsets", "informative"]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        lines = captured.err.splitlines()
+        assert lines[0] == (
+            f"compare: linear={report['baselines']['linear']['mean_acc']:.4f}"
+            f" proposed={report['proposed']['mean_acc']:.4f}")
+        assert lines[1:] == ([UNTRAINED_OMEGA] if warned else [])
+
     def test_report_sections_share_splits(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = tmp_path / "compare.json"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import popgcn
 from popgcn.data import DataError
+from helpers import quick_dataset
 
 
 class TestSynthetic:
@@ -183,6 +184,32 @@ class TestLoadSave:
         assert np.array_equal(loaded.demographics, original.demographics)
         assert loaded.element_names == original.element_names
         assert loaded.n_classes == original.n_classes
+
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    @pytest.mark.parametrize("earlier", [False, True],
+                             ids=["empty", "over_a_dataset"])
+    def test_failed_write_leaves_no_new_file(self, tmp_path, monkeypatch,
+                                             failing, earlier):
+        # the files before the failing one used to stay behind, a dataset
+        # no command could read back
+        out = tmp_path / "data"
+        if earlier:
+            popgcn.save_dataset(quick_dataset(n_nodes=9), out)
+        before = {path.name: path.read_bytes() for path in out.glob("*")}
+        savetxt, calls = np.savetxt, []
+
+        def full_disk(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == failing:
+                raise OSError(28, "No space left on device")
+            return savetxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "savetxt", full_disk)
+        with pytest.raises(OSError) as raised:
+            popgcn.save_dataset(quick_dataset(), out)
+        assert str(raised.value) == "[Errno 28] No space left on device"
+        assert {path.name: path.read_bytes()
+                for path in out.iterdir()} == before
 
     def test_hand_written_files(self, tmp_path):
         (tmp_path / "features.csv").write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")

@@ -229,6 +229,18 @@ class TestSimilarityMatrix:
                            "sum of squares that is not finite and positive"):
             popgcn.similarity_matrix(feats)
 
+    def test_row_whose_product_diagonal_underflows_names_row(self):
+        # row 0's centred sum of squares is 2 subnormal ulps, but scaled by
+        # 1/19 it rounds to 0; row 1's product with it is exactly 0, so
+        # its correlation used to be 0/0, a NaN with RuntimeWarnings
+        feats = np.random.default_rng(1).standard_normal((5, 20))
+        feats[:2] = 0.0
+        feats[0, :2] = 2e-162, -2e-162
+        feats[1, 2:] = np.tile([1.0, -1.0], 9)
+        with pytest.raises(GraphError, match="feature row 0 has a centred "
+                           "sum of squares that is not finite and positive"):
+            popgcn.similarity_matrix(feats)
+
     def test_constant_row_is_named_before_a_row_out_of_range(self):
         feats = np.random.default_rng(0).standard_normal((6, 4))
         feats[1] *= 1e300
@@ -531,38 +543,32 @@ class TestBuildMatrices:
         for a, b in zip(empty, default):
             assert a.matrix.tobytes() == b.matrix.tobytes()
 
-    def test_each_graph_array_scanned_for_symmetry_once(self, monkeypatch):
-        # one scan per affinity: the edge matrices are symmetric by
-        # construction, and each operator is proven by its affinity
-        ds = quick_dataset(noise_elements=("noise", "site"))
+    @pytest.mark.parametrize("n_nodes", [36, 2 * TILE + 3],
+                             ids=["one_tile", "three_tiles"])
+    @pytest.mark.parametrize("build", [popgcn.build_affinity_matrices,
+                                       popgcn.build_propagation_matrices])
+    def test_build_scans_no_array_it_made(self, monkeypatch, build, n_nodes):
+        # the edges, the similarity and so each affinity and operator are
+        # proven by their construction: no symmetry scan and no row scan
+        # (binary edges, finite and nonnegative weights) on any of them
+        ds = quick_dataset(n_nodes=n_nodes, noise_elements=("noise", "site"))
         calls = []
-        array_equal = np.array_equal
 
-        def counting(a, b, *args, **kwargs):
-            calls.append(np.shape(a))
-            return array_equal(a, b, *args, **kwargs)
+        def spy(name):
+            scan = getattr(graph, name)
 
-        monkeypatch.setattr(np, "array_equal", counting)
-        props = popgcn.build_propagation_matrices(ds)
-        assert len(props) == 3
-        assert calls == [(ds.n_nodes, ds.n_nodes)] * 3
+            def counting(*args):
+                calls.append(name)
+                return scan(*args)
+            return counting
 
-    def test_each_graph_array_scanned_once_past_one_tile(self, monkeypatch):
-        # many tile pairs per array, still one symmetry scan per affinity
-        # and none per operator
-        ds = quick_dataset(n_nodes=2 * TILE + 3,
-                           noise_elements=("noise", "site"))
-        calls = []
-        scan = graph._exactly_symmetric
-
-        def counting(array):
-            calls.append(array.shape)
-            return scan(array)
-
-        monkeypatch.setattr(graph, "_exactly_symmetric", counting)
-        props = popgcn.build_propagation_matrices(ds)
-        assert len(props) == 3
-        assert calls == [(ds.n_nodes, ds.n_nodes)] * 3
+        for name in ("_exactly_symmetric", "_any_rows"):
+            monkeypatch.setattr(graph, name, spy(name))
+        assert len(build(ds)) == 3
+        assert calls == []
+        # the spies see the public constructor's scans
+        popgcn.AffinityMatrix(np.zeros((n_nodes, n_nodes)))
+        assert calls == ["_any_rows", "_exactly_symmetric", "_any_rows"]
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.sampled_from([1, 2, 3, TILE - 1, TILE + 1]),
@@ -571,9 +577,12 @@ class TestBuildMatrices:
                st.sampled_from(["tied", "constant", "continuous"]),
                st.sampled_from([popgcn.EQUALITY, popgcn.THRESHOLD]),
                st.floats(1e-3, 10.0)), min_size=1, max_size=3),
-           threads=st.integers(1, 3))
+           threads=st.integers(1, 3),
+           exponent=st.sampled_from([0, -161, -162, 150, 154]))
     def test_built_operators_pass_the_public_checks(self, n, seed, columns,
-                                                    threads):
+                                                    threads, exponent):
+        # features near the ends of float range too, where a row's spread
+        # may be refused: what is built is what the public checks accept
         rng = np.random.default_rng(seed)
         demographics = np.column_stack([
             rng.integers(0, 3, n) if values == "tied"
@@ -584,13 +593,21 @@ class TestBuildMatrices:
         rules = [popgcn.EdgeRule(name, kind,
                                  beta if kind == popgcn.THRESHOLD else None)
                  for name, (_, kind, beta) in zip(names, columns)]
-        ds = popgcn.Dataset(rng.standard_normal((n, 4)), np.arange(n) % 2,
-                            demographics, names, 2)
+        ds = popgcn.Dataset(rng.standard_normal((n, 4)) * 10.0 ** exponent,
+                            np.arange(n) % 2, demographics, names, 2)
         with mock.patch.object(graph, "_build_threads",
                                lambda n_calls: min(n_calls, threads)):
+            try:
+                affinities = popgcn.build_affinity_matrices(ds, rules)
+            except GraphError as err:
+                assert "centred sum of squares" in str(err)
+                return
             props = popgcn.build_propagation_matrices(ds, rules)
-        assert len(props) == len(rules)
-        for prop in props:
+        assert len(affinities) == len(props) == len(rules)
+        for affinity, prop, name in zip(affinities, props, names):
+            checked = popgcn.AffinityMatrix(affinity.weights, name)
+            assert checked.weights is affinity.weights
+            assert affinity.element_name == name
             assert popgcn.PropagationMatrix(matrix=prop.matrix).n_nodes == n
 
     def test_operators_match_the_unfused_formulas(self):
