@@ -88,6 +88,17 @@ def _check_fields(instance, *names, error=DataError) -> None:
             name, getattr(instance, name), kinds[name], error))
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array. Booleans, floats and every other
+    non-integer kind are refused, not cast: a boolean mask read as indices
+    picks rows 0 and 1, and a float label is truncated. An empty array is
+    taken whatever its kind, as NumPy makes ``[]`` float64."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise DataError(f"{name} must be integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Per-subject features, labels, and demographic elements.
@@ -107,7 +118,7 @@ class Dataset:
     def __post_init__(self):
         _check_fields(self, "element_names", "n_classes")
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _integers(self.labels, "labels")
         demographics = np.asarray(self.demographics, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] == 0:
             raise DataError("features must be a non-empty 2-D matrix")
@@ -173,8 +184,8 @@ class FoldSplit:
     fold_id: int
 
     def __post_init__(self):
-        train = np.asarray(self.train_idx, dtype=np.int64)
-        test = np.asarray(self.test_idx, dtype=np.int64)
+        train = _integers(self.train_idx, "train_idx")
+        test = _integers(self.test_idx, "test_idx")
         if train.size == 0 or test.size == 0:
             raise DataError(f"fold {self.fold_id}: empty train or test split")
         if np.intersect1d(train, test).size:
@@ -449,7 +460,7 @@ def stratified_kfold(labels, k: int, seed) -> list[FoldSplit]:
     differ from an exact proportional split by at most one sample. A pure
     function of ``labels``, ``k``, and ``seed``.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integers(labels, "labels")
     n = labels.shape[0]
     if k < 2:
         raise DataError("k must be at least 2 (k=1 leaves an empty train fold)")

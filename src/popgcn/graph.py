@@ -57,26 +57,17 @@ class EdgeRule:
                 f"equality rules take no beta, got {self.beta}", "beta")
 
 
-# Edge of the square tiles that the symmetry scan compares with their
-# mirrors: a pair of 256 x 256 float64 tiles (1 MB) stays in cache while the
-# mirror is read column-wise; the full-matrix ``array.T`` read misses on
-# every row. A row pass (the similarity walk, the normalization's scale
-# products, the checks' masks) takes blocks of at most one tile's items.
-_SYMMETRY_TILE = 256
+# Items in one block of rows of a row pass (the similarity walk, the
+# normalization's scale products): 256 x 256 float64 items (512 KB) per
+# block, never N x N at once.
+_BLOCK_ITEMS = 256 * 256
 
 
 def _row_blocks(shape):
     """Slices of rows covering a 2-D array of ``shape``, each block at most
-    one tile's items, or one row: a check's boolean mask or a scaling's
-    operand is built one block at a time, never N x N at once."""
-    step = max(1, _SYMMETRY_TILE ** 2 // max(shape[1], 1))
+    ``_BLOCK_ITEMS`` items, or one row."""
+    step = max(1, _BLOCK_ITEMS // max(shape[1], 1))
     return (slice(i, i + step) for i in range(0, shape[0], step))
-
-
-def _any_rows(array: np.ndarray, test) -> bool:
-    """``np.any(test(array))``, one block of rows at a time."""
-    array = np.atleast_2d(array)
-    return any(np.any(test(array[rows])) for rows in _row_blocks(array.shape))
 
 
 def _checked_out(out, shape) -> np.ndarray | None:
@@ -86,15 +77,6 @@ def _checked_out(out, shape) -> np.ndarray | None:
                                 and out.shape == shape):
         raise GraphError(f"out must be a float64 array of shape {shape}")
     return out
-
-
-def _exactly_symmetric(array: np.ndarray) -> bool:
-    """``np.array_equal(array, array.T)`` for a square 2-D array, computed
-    one tile on or above the diagonal at a time against its mirror tile."""
-    n, tile = array.shape[0], _SYMMETRY_TILE
-    return all(np.array_equal(array[i:i + tile, j:j + tile],
-                              array[j:j + tile, i:i + tile].T)
-               for i in range(0, n, tile) for j in range(i, n, tile))
 
 
 def _proven(cls, **fields):
@@ -111,9 +93,9 @@ def _symmetric_float64(array, what: str) -> np.ndarray:
     array = np.asarray(array, dtype=np.float64)
     if array.ndim != 2 or array.shape[0] != array.shape[1]:
         raise GraphError(f"{what} must be square, got {array.shape}")
-    if _any_rows(array, lambda block: ~np.isfinite(block)):
+    if not np.isfinite(array).all():
         raise GraphError(f"{what} must be finite")
-    if not _exactly_symmetric(array):
+    if not np.array_equal(array, array.T):
         raise GraphError(f"{what} must be exactly symmetric")
     return array
 
@@ -127,7 +109,7 @@ class AffinityMatrix:
 
     def __post_init__(self):
         weights = _symmetric_float64(self.weights, "affinity weights")
-        if _any_rows(weights, lambda block: block < 0):
+        if np.any(weights < 0):
             raise GraphError("affinity weights must be nonnegative")
         if np.any(np.diagonal(weights) != 0):
             raise GraphError("affinity diagonal must be zero (self-loops are "
@@ -201,10 +183,11 @@ def similarity_matrix(features) -> np.ndarray:
     Entries are max(0, corr(X_i, X_j)): anti-correlated subjects disconnect
     rather than injecting negative weight into the degree normalization. The
     diagonal is exactly 1. A row whose centred sum of squares overflows, or
-    underflows to zero, is refused: its correlations would read 0 or 1
+    underflows to zero or to a subnormal number, is refused: its deviations
+    have lost their bits, so its correlations would read near 0 or 1
     whatever the data. The product's diagonal, scaled, is checked the same
     way, as its sum may underflow where the first did not; so every
-    division is by a finite positive number, and every entry is finite and
+    division is by a finite normal number, and every entry is finite and
     in [0, 1].
 
     The bits are those of ``np.clip((c + c.T) / 2, 0, 1)`` with ``c =
@@ -216,7 +199,7 @@ def similarity_matrix(features) -> np.ndarray:
 
     Beside the N x N result, the centred rows take an N x d array, freed
     once the product is taken; each call holds one block of the mirror's
-    entries, at most one tile's items. The product runs on one OpenBLAS
+    entries, at most ``_BLOCK_ITEMS`` items. The product runs on one OpenBLAS
     thread, so the bits do not depend on the BLAS thread setting.
     """
     feats = np.asarray(features, dtype=np.float64)
@@ -245,12 +228,14 @@ def similarity_matrix(features) -> np.ndarray:
 
 def _check_spread(squares) -> None:
     """Refuse the first feature row whose centred sum of squares, or its
-    scaled value, is not finite and positive."""
-    bad = np.flatnonzero(~(np.isfinite(squares) & (squares > 0)))
+    scaled value, is not finite or is below the smallest normal float."""
+    tiny = np.finfo(np.float64).tiny
+    bad = np.flatnonzero(~(np.isfinite(squares) & (squares >= tiny)))
     if bad.size:
         raise GraphError(
             f"feature row {bad[0]} has a centred sum of squares that is not "
-            f"finite and positive; correlation undefined")
+            f"finite and positive, or is below {tiny:.2g}; correlation "
+            "undefined")
 
 
 @functools.cache
@@ -327,8 +312,7 @@ def build_affinity(sim, edges, element_name: str = "", *, out=None,
         raise GraphError(
             f"shape mismatch: similarity {sim.shape} vs edges {edges.shape}")
     # the product hides non-binary edges; AffinityMatrix checks the rest
-    if not _built and _any_rows(edges,
-                                lambda block: (block != 0.0) & (block != 1.0)):
+    if not _built and np.any((edges != 0.0) & (edges != 1.0)):
         raise GraphError("edge matrix must be binary")
     weights = np.multiply(sim, edges, out=_checked_out(out, sim.shape))
     if _built:

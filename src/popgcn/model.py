@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _integers
 from .graph import PropagationMatrix, build_propagation_matrices
 
 PROB_FLOOR = 1e-12
@@ -173,8 +174,8 @@ def softmax_rows(scores) -> np.ndarray:
 
 def class_weights(labels, mask) -> np.ndarray:
     """Inverse-frequency class weights over masked nodes: |mask| / (K * c_k)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    mask = np.asarray(mask, dtype=np.int64)
+    labels = _integers(labels, "labels")
+    mask = _integers(mask, "mask")
     if mask.size == 0:
         raise ValueError("mask is empty")
     n_classes = int(labels.max()) + 1
@@ -192,8 +193,8 @@ def weighted_cross_entropy(probabilities, labels, mask, class_weights) -> float:
     Probabilities are floored at 1e-12 before the log.
     """
     probabilities = np.asarray(probabilities, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    mask = np.asarray(mask, dtype=np.int64)
+    labels = _integers(labels, "labels")
+    mask = _integers(mask, "mask")
     weights = np.asarray(class_weights, dtype=np.float64)
     if mask.size == 0:
         raise ValueError("mask is empty")
@@ -275,8 +276,8 @@ def compute_gradients(trace: ForwardTrace, labels, mask, class_weights,
     is positive (kept and active), so the gradients differentiate the exact
     stochastic objective of that pass. Fusion weights carry no L2 penalty.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    mask = np.asarray(mask, dtype=np.int64)
+    labels = _integers(labels, "labels")
+    mask = _integers(mask, "mask")
     weights = np.asarray(class_weights, dtype=np.float64)
     if mask.size == 0:
         raise ValueError("mask is empty")

@@ -11,7 +11,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import DataError, Dataset, _check_fields, stratified_kfold
+from .data import (DataError, Dataset, _check_fields, _integers,
+                   stratified_kfold)
 from .graph import (EdgeRule, _openblas, _usable_cpus,
                     build_propagation_matrices, rules_or_defaults)
 from .model import (ModelParams, class_weights, compute_gradients, init_params,
@@ -116,17 +117,19 @@ class TrainedModel:
 
 def accuracy(probabilities, labels, idx) -> float:
     """Fraction of argmax predictions matching labels on ``idx``."""
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = _integers(idx, "idx")
+    if idx.size == 0:
+        raise ValueError("idx is empty")
     predictions = np.asarray(probabilities)[idx].argmax(axis=1)
     return float(np.mean(predictions == np.asarray(labels)[idx]))
 
 
 def confusion_matrix(labels, predictions, idx, n_classes: int) -> np.ndarray:
     """K x K counts over ``idx``; rows are true classes, columns predictions."""
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = _integers(idx, "idx")
     out = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(out, (np.asarray(labels, dtype=np.int64)[idx],
-                    np.asarray(predictions, dtype=np.int64)[idx]), 1)
+    np.add.at(out, (_integers(labels, "labels")[idx],
+                    _integers(predictions, "predictions")[idx]), 1)
     return out
 
 
@@ -137,8 +140,8 @@ def _stratified_holdout(labels, train_idx, fraction: float, rng):
     validation set, one node is taken from the largest class so early
     stopping still has a signal.
     """
-    train_idx = np.asarray(train_idx, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
+    train_idx = _integers(train_idx, "train_idx")
+    labels = _integers(labels, "labels")
     val_parts, opt_parts = [], []
     for cls in np.unique(labels[train_idx]):
         members = rng.permutation(train_idx[labels[train_idx] == cls])
@@ -235,7 +238,9 @@ def evaluate(model: TrainedModel, dataset: Dataset, test_idx,
     scored from ``model.probabilities`` (no forward pass), so ``dataset`` must
     be the one it was trained on. With ``train_idx``, also ``train_accuracy``.
     """
-    test_idx = np.asarray(test_idx, dtype=np.int64)
+    test_idx = _integers(test_idx, "test_idx")
+    if test_idx.size == 0:
+        raise ValueError("test_idx is empty")
     probs = model.probabilities
     if dataset.n_nodes != len(probs):
         raise ValueError(f"model scores {len(probs)} nodes, dataset has "

@@ -762,9 +762,11 @@ class TestCvCommand:
     # in an error that named no element
     @pytest.mark.parametrize("scale, element, message", [
         (1e300, None, "feature row 4 has a centred sum of squares that is "
-                      "not finite and positive; correlation undefined"),
+                      "not finite and positive, or is below 2.2e-308; "
+                      "correlation undefined"),
         (1e-320, None, "feature row 4 has a centred sum of squares that is "
-                       "not finite and positive; correlation undefined"),
+                       "not finite and positive, or is below 2.2e-308; "
+                       "correlation undefined"),
         (1e308, "noise", "element 'noise': the standard deviation of its "
                          "column is not finite, so it has no default "
                          "threshold"),

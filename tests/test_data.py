@@ -369,3 +369,103 @@ class TestStratifiedKFold:
                 assert abs(got - counts[cls] / 4) <= 1
                 # every class stays represented on the train side
                 assert np.sum(labels[fold.train_idx] == cls) >= 1
+
+
+_LABELS, _INDEX = np.array([0, 1, 0, 1]), np.array([0, 1, 3])
+_PROBS = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
+
+
+def _params():
+    return popgcn.init_params(3, (2,), 2, 1, np.random.default_rng(0))
+
+
+def _gradients(labels, mask):
+    params = _params()
+    trace = popgcn.model_forward([popgcn.PropagationMatrix(None, n_nodes=4)],
+                                 np.eye(4, 3), params)
+    return popgcn.compute_gradients(trace, labels, mask, np.ones(2), 0.0,
+                                    params)
+
+
+def _model():
+    return popgcn.TrainedModel(_params(), _PROBS, 1, 1)
+
+
+def _dataset(labels=_LABELS):
+    return popgcn.Dataset(np.eye(4, 3), labels, np.zeros((4, 1)), ("e",), 2)
+
+
+# every public entry point that takes labels or indices, with the argument
+# whose integers it reads: each call stands the bad array in for it
+_INTEGER_ARGUMENTS = {
+    "Dataset-labels": ("labels", _dataset),
+    "FoldSplit-train_idx": ("train_idx",
+                            lambda bad: popgcn.FoldSplit(bad, [2], 0)),
+    "FoldSplit-test_idx": ("test_idx",
+                           lambda bad: popgcn.FoldSplit([2], bad, 0)),
+    "stratified_kfold-labels": ("labels",
+                                lambda bad: popgcn.stratified_kfold(bad, 2, 0)),
+    "class_weights-labels": ("labels",
+                             lambda bad: popgcn.class_weights(bad, _INDEX)),
+    "class_weights-mask": ("mask",
+                           lambda bad: popgcn.class_weights(_LABELS, bad)),
+    "weighted_cross_entropy-labels": (
+        "labels", lambda bad: popgcn.weighted_cross_entropy(
+            _PROBS, bad, _INDEX, np.ones(2))),
+    "weighted_cross_entropy-mask": (
+        "mask", lambda bad: popgcn.weighted_cross_entropy(
+            _PROBS, _LABELS, bad, np.ones(2))),
+    "compute_gradients-labels": ("labels",
+                                 lambda bad: _gradients(bad, _INDEX)),
+    "compute_gradients-mask": ("mask", lambda bad: _gradients(_LABELS, bad)),
+    "accuracy-idx": ("idx", lambda bad: popgcn.accuracy(_PROBS, _LABELS, bad)),
+    "confusion_matrix-labels": (
+        "labels", lambda bad: popgcn.confusion_matrix(bad, _LABELS, _INDEX, 2)),
+    "confusion_matrix-predictions": (
+        "predictions",
+        lambda bad: popgcn.confusion_matrix(_LABELS, bad, _INDEX, 2)),
+    "confusion_matrix-idx": (
+        "idx", lambda bad: popgcn.confusion_matrix(_LABELS, _LABELS, bad, 2)),
+    "evaluate-test_idx": (
+        "test_idx", lambda bad: popgcn.evaluate(_model(), _dataset(), bad)),
+    "evaluate-train_idx": (
+        "idx", lambda bad: popgcn.evaluate(_model(), _dataset(), _INDEX,
+                                           train_idx=bad)),
+}
+
+
+class TestIntegerArguments:
+    # a boolean mask read as indices picks rows 0 and 1, and float labels
+    # are truncated: class_weights gave [1.5, 0.75] for [1, 1], accuracy
+    # 0.333 for 0.5, and a Dataset stored [0.9, 1.7, 0.2, 1.0] as
+    # [0, 1, 0, 1]; whole floats are refused as well
+    @pytest.mark.parametrize("bad", [[True, True, False, True],
+                                     [0.9, 1.7, 0.2, 1.0],
+                                     [0.0, 1.0, 0.0, 1.0]],
+                             ids=["bool", "float", "whole-float"])
+    @pytest.mark.parametrize("entry", list(_INTEGER_ARGUMENTS))
+    def test_non_integer_array_refused_by_name(self, entry, bad):
+        name, call = _INTEGER_ARGUMENTS[entry]
+        with pytest.raises(DataError, match=f"^{name} must be integers, got "
+                           f"dtype {np.asarray(bad).dtype}$"):
+            call(np.array(bad))
+
+    @pytest.mark.parametrize("entry", list(_INTEGER_ARGUMENTS))
+    def test_any_integer_kind_is_read_as_its_values(self, entry):
+        # the arrays the refusals stand in for, as unsigned 8-bit integers
+        # and as a Python list: neither is refused
+        name, call = _INTEGER_ARGUMENTS[entry]
+        good = _INDEX if name in ("idx", "mask", "train_idx",
+                                  "test_idx") else _LABELS
+        call(good.astype(np.uint8))
+        call(good.tolist())
+
+    @pytest.mark.parametrize("call", [
+        lambda: popgcn.accuracy(_PROBS, _LABELS, []),
+        lambda: popgcn.evaluate(_model(), _dataset(), []),
+        lambda: popgcn.evaluate(_model(), _dataset(), _INDEX, train_idx=[]),
+    ], ids=["accuracy", "evaluate", "evaluate-train_idx"])
+    def test_empty_index_refused(self, call):
+        # it used to print a RuntimeWarning and score NaN
+        with pytest.raises(ValueError, match=r"idx is empty"):
+            call()

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import time
@@ -15,7 +16,9 @@ from popgcn.data import DataError
 from popgcn.graph import GraphError
 from helpers import quick_dataset
 
-TILE = graph._SYMMETRY_TILE
+# edge of a square block of a row pass's items (256): sizes around it and
+# its multiples end the passes in partial blocks
+TILE = math.isqrt(graph._BLOCK_ITEMS)
 
 
 def corrcoef_on_one_blas_thread(feats):
@@ -152,30 +155,6 @@ class TestBuildEdgeMatrix:
 
 
 class TestSymmetryScan:
-    @staticmethod
-    def flip_sites(n):
-        """Entries in the first diagonal tile, an off-diagonal tile, the
-        last column of tiles (partial unless n is a multiple of the tile)
-        and the last diagonal tile, each with its mirror."""
-        if n < 2:
-            return []
-        sites = {(0, 1), (0, n - 1), (n - 1, n - 2)}
-        if n > TILE:
-            sites.add((1, TILE))
-        return sorted(sites | {(j, i) for i, j in sites})
-
-    @pytest.mark.parametrize("n", [1, 2, TILE - 1, TILE, TILE + 1,
-                                   2 * TILE + 3])
-    def test_verdict_is_the_full_comparison(self, n):
-        array = _symmetric(n)
-        assert graph._exactly_symmetric(array)
-        assert np.array_equal(array, array.T)
-        for i, j in self.flip_sites(n):
-            flipped = array.copy()
-            flipped[i, j] = np.nextafter(flipped[i, j], 3.0)
-            assert not np.array_equal(flipped, flipped.T)
-            assert not graph._exactly_symmetric(flipped), (i, j)
-
     @pytest.mark.parametrize("build", [popgcn.AffinityMatrix,
                                        popgcn.PropagationMatrix])
     def test_asymmetry_past_one_tile_rejected(self, build):
@@ -221,7 +200,9 @@ class TestSimilarityMatrix:
     # x 1e300 overflows the row's centred sum of squares, which zeroed its
     # every similarity; x 1e-320 underflows it to 0, which gave 1.0 to
     # another subject. Tier-1 fails on the RuntimeWarnings either printed.
-    @pytest.mark.parametrize("scale", [1e300, 1e-320, 1e155])
+    # x 1e-158 and x 1e-161 leave it subnormal: its deviations had lost
+    # bits, and its similarities were off np.corrcoef's by up to 0.02
+    @pytest.mark.parametrize("scale", [1e300, 1e-320, 1e155, 1e-158, 1e-161])
     def test_row_beyond_float_range_names_row(self, scale):
         feats = np.random.default_rng(0).standard_normal((60, 8))
         feats[4] *= scale
@@ -252,10 +233,10 @@ class TestSimilarityMatrix:
             self, threaded_build):
         # 16 row blocks in 2 threads: beside the result, the centred rows
         # while the product runs, then per thread one block of mirror
-        # entries (at most one tile's items) and ufunc iteration buffers
+        # entries (at most _BLOCK_ITEMS) and ufunc iteration buffers
         n, d = 1000, 20
         feats = np.random.default_rng(0).standard_normal((n, d))
-        per_thread = TILE * TILE * 8 + 3 * np.getbufsize() * 8
+        per_thread = graph._BLOCK_ITEMS * 8 + 3 * np.getbufsize() * 8
         bound = n * n * 8 + n * d * 8 + 2 * per_thread
         tracemalloc.start()
         try:
@@ -549,26 +530,41 @@ class TestBuildMatrices:
                                        popgcn.build_propagation_matrices])
     def test_build_scans_no_array_it_made(self, monkeypatch, build, n_nodes):
         # the edges, the similarity and so each affinity and operator are
-        # proven by their construction: no symmetry scan and no row scan
-        # (binary edges, finite and nonnegative weights) on any of them
+        # proven by their construction: no check of a caller's array runs
+        # on any of them, not even the binary-edge check, so an edge stage
+        # that leaves one 0.5 edge is not refused
         ds = quick_dataset(n_nodes=n_nodes, noise_elements=("noise", "site"))
         calls = []
 
-        def spy(name):
-            scan = getattr(graph, name)
+        def spy(owner, name):
+            check = getattr(owner, name)
 
             def counting(*args):
                 calls.append(name)
-                return scan(*args)
-            return counting
+                return check(*args)
+            monkeypatch.setattr(owner, name, counting)
 
-        for name in ("_exactly_symmetric", "_any_rows"):
-            monkeypatch.setattr(graph, name, spy(name))
+        spy(graph, "_symmetric_float64")
+        spy(popgcn.AffinityMatrix, "__post_init__")
+        spy(popgcn.PropagationMatrix, "__post_init__")
+        edge_stage = graph.build_edge_matrix
+
+        def half_edge(column, rule, *, out=None):
+            edges = edge_stage(column, rule, out=out)
+            edges[0, 1] = edges[1, 0] = 0.5
+            return edges
+
+        monkeypatch.setattr(graph, "build_edge_matrix", half_edge)
         assert len(build(ds)) == 3
         assert calls == []
-        # the spies see the public constructor's scans
+        # the public constructor runs every check, and the public
+        # build_affinity refuses the 0.5 edge
         popgcn.AffinityMatrix(np.zeros((n_nodes, n_nodes)))
-        assert calls == ["_any_rows", "_exactly_symmetric", "_any_rows"]
+        assert calls == ["__post_init__", "_symmetric_float64"]
+        edges = half_edge(ds.demographics[:, 0],
+                          popgcn.default_edge_rules(ds)[0])
+        with pytest.raises(GraphError, match="edge matrix must be binary"):
+            popgcn.build_affinity(np.ones((n_nodes, n_nodes)), edges)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.sampled_from([1, 2, 3, TILE - 1, TILE + 1]),
@@ -1001,7 +997,7 @@ class TestThreadedBuild:
         # full-matrix normalization held about 5 N x N arrays at M=2
         n, d = 1000, 20
         ds = quick_dataset(n_nodes=n, n_features=d, noise_elements=noise)
-        square, block = n * n * 8, graph._SYMMETRY_TILE * n * 8
+        square, block = n * n * 8, TILE * n * 8
         bound = (ds.n_elements + 1) * square + 2 * block + 8 * n * d * 8
         tracemalloc.start()
         try:
