@@ -180,7 +180,7 @@ def parse_run_config(raw) -> RunConfig:
 def load_run_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
-        raise ConfigError("$", f"config file not found: {path}")
+        raise ConfigError("--config", f"config file not found: {path}")
     if path.is_dir():
         raise ConfigError("--config", f"{str(path)!r} is a directory")
     try:

@@ -99,6 +99,15 @@ def _integers(values, name: str) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
+def _indices(values, name: str) -> np.ndarray:
+    """``values`` as ``_integers`` reads them, with a negative index refused:
+    NumPy reads index -1 as the last node, which no split or score means."""
+    array = _integers(values, name)
+    if array.size and array.min() < 0:
+        raise DataError(f"{name} must be nonnegative, got {array.min()}")
+    return array
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Per-subject features, labels, and demographic elements.
@@ -184,8 +193,8 @@ class FoldSplit:
     fold_id: int
 
     def __post_init__(self):
-        train = _integers(self.train_idx, "train_idx")
-        test = _integers(self.test_idx, "test_idx")
+        train = _indices(self.train_idx, "train_idx")
+        test = _indices(self.test_idx, "test_idx")
         if train.size == 0 or test.size == 0:
             raise DataError(f"fold {self.fold_id}: empty train or test split")
         if np.intersect1d(train, test).size:

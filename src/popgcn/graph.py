@@ -57,9 +57,8 @@ class EdgeRule:
                 f"equality rules take no beta, got {self.beta}", "beta")
 
 
-# Items in one block of rows of a row pass (the similarity walk, the
-# normalization's scale products): 256 x 256 float64 items (512 KB) per
-# block, never N x N at once.
+# Items in one block of rows of the normalization's scale products: 256 x
+# 256 float64 items (512 KB) per block, never N x N at once.
 _BLOCK_ITEMS = 256 * 256
 
 
@@ -182,25 +181,22 @@ def similarity_matrix(features) -> np.ndarray:
 
     Entries are max(0, corr(X_i, X_j)): anti-correlated subjects disconnect
     rather than injecting negative weight into the degree normalization. The
-    diagonal is exactly 1. A row whose centred sum of squares overflows, or
-    underflows to zero or to a subnormal number, is refused: its deviations
-    have lost their bits, so its correlations would read near 0 or 1
-    whatever the data. The product's diagonal, scaled, is checked the same
-    way, as its sum may underflow where the first did not; so every
-    division is by a finite normal number, and every entry is finite and
-    in [0, 1].
+    diagonal is exactly 1. Each row is centred and divided by the root of
+    its centred sum of squares, and the correlation is the product ``z @
+    z.T`` of those unit rows, clipped to [0, 1]. It is within 2e-15 of
+    ``np.clip(np.corrcoef(features), 0, 1)`` (tests check this), and
+    exactly symmetric: NumPy computes ``a @ a.T`` as one triangle and copies
+    it.
 
-    The bits are those of ``np.clip((c + c.T) / 2, 0, 1)`` with ``c =
-    np.corrcoef(features)`` and a unit diagonal: the same product of the
-    centred rows, then the same elementwise steps in the same order, in
-    place, one block of whole rows per call, spread over threads by
-    ``_in_threads``. NumPy computes the product as one triangle and copies
-    it, so it is exactly symmetric, and a row holds its mirror's entries.
+    A row whose centred sum of squares overflows, or underflows to zero or
+    to a subnormal number, is refused: its deviations have lost their bits,
+    so its correlations would read near 0 or 1 whatever the data. So is a
+    row whose sum scaled by 1/(d - 1), ``np.corrcoef``'s variance, is
+    subnormal: its squared deviations are then mostly subnormal too.
 
-    Beside the N x N result, the centred rows take an N x d array, freed
-    once the product is taken; each call holds one block of the mirror's
-    entries, at most ``_BLOCK_ITEMS`` items. The product runs on one OpenBLAS
-    thread, so the bits do not depend on the BLAS thread setting.
+    Beside the N x N result, the unit rows take an N x d array, freed once
+    the product is taken. The product runs on one OpenBLAS thread, so the
+    bits do not depend on the BLAS thread setting.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] < 2:
@@ -214,14 +210,11 @@ def similarity_matrix(features) -> np.ndarray:
         raise GraphError(
             f"feature row {flat[0]} is constant; correlation undefined")
     _check_spread(squares)
-    sim = _one_blas_thread(np.matmul, centred, centred.T)  # corrcoef's
+    _check_spread(squares * (1.0 / (feats.shape[1] - 1)))  # the variance
+    centred /= np.sqrt(squares)[:, None]
+    sim = _one_blas_thread(np.matmul, centred, centred.T)
     del centred
-    scale = 1.0 / (feats.shape[1] - 1)
-    variance = np.diagonal(sim) * scale
-    _check_spread(variance)  # may underflow where ``squares`` did not
-    std = np.sqrt(variance)
-    _in_threads([functools.partial(_correlate_rows, sim, std, scale, rows)
-                 for rows in _row_blocks(sim.shape)])
+    np.clip(sim, 0.0, 1.0, out=sim)
     np.fill_diagonal(sim, 1.0)
     return sim
 
@@ -273,25 +266,6 @@ def _one_blas_thread(fn, *args):
             return fn(*args)
         finally:
             put(threads)
-
-
-def _correlate_rows(sim, std, scale, rows) -> None:
-    """Turn rows ``rows`` of ``sim``, the exactly symmetric product of the
-    centred features, into clip((corr + corr.T) / 2, 0, 1) in place: entry
-    (i, j) of corr.T is np.corrcoef's steps on the product's (i, j) entry
-    with the two divisions swapped. Each call touches only its own rows,
-    so calls may run in parallel."""
-    block = sim[rows]
-    block *= scale
-    mirror = block / std
-    mirror /= std[rows, None]
-    np.clip(mirror, -1.0, 1.0, out=mirror)
-    block /= std[rows, None]
-    block /= std
-    np.clip(block, -1.0, 1.0, out=block)
-    block += mirror
-    block /= 2.0
-    np.clip(block, 0.0, 1.0, out=block)
 
 
 def build_affinity(sim, edges, element_name: str = "", *, out=None,
@@ -391,9 +365,8 @@ def _usable_cpus() -> int:
 
 
 def _build_threads(n_calls: int) -> int:
-    """Threads for ``_in_threads`` to make ``n_calls`` graph-build calls in
-    (element stages, or row blocks of the similarity); 1 means the calling
-    thread alone.
+    """Threads for ``_in_threads`` to make ``n_calls`` graph-build calls
+    in; 1 means the calling thread alone.
 
     Every usable CPU takes one call at a time: the calls are elementwise
     NumPy passes, which release the GIL, or the one-BLAS-thread product.

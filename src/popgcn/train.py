@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import (DataError, Dataset, _check_fields, _integers,
+from .data import (DataError, Dataset, _check_fields, _indices, _integers,
                    stratified_kfold)
 from .graph import (EdgeRule, _openblas, _usable_cpus,
                     build_propagation_matrices, rules_or_defaults)
@@ -117,7 +117,7 @@ class TrainedModel:
 
 def accuracy(probabilities, labels, idx) -> float:
     """Fraction of argmax predictions matching labels on ``idx``."""
-    idx = _integers(idx, "idx")
+    idx = _indices(idx, "idx")
     if idx.size == 0:
         raise ValueError("idx is empty")
     predictions = np.asarray(probabilities)[idx].argmax(axis=1)
@@ -126,7 +126,7 @@ def accuracy(probabilities, labels, idx) -> float:
 
 def confusion_matrix(labels, predictions, idx, n_classes: int) -> np.ndarray:
     """K x K counts over ``idx``; rows are true classes, columns predictions."""
-    idx = _integers(idx, "idx")
+    idx = _indices(idx, "idx")
     out = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(out, (_integers(labels, "labels")[idx],
                     _integers(predictions, "predictions")[idx]), 1)
@@ -140,7 +140,7 @@ def _stratified_holdout(labels, train_idx, fraction: float, rng):
     validation set, one node is taken from the largest class so early
     stopping still has a signal.
     """
-    train_idx = _integers(train_idx, "train_idx")
+    train_idx = _indices(train_idx, "train_idx")
     labels = _integers(labels, "labels")
     val_parts, opt_parts = [], []
     for cls in np.unique(labels[train_idx]):
@@ -238,7 +238,7 @@ def evaluate(model: TrainedModel, dataset: Dataset, test_idx,
     scored from ``model.probabilities`` (no forward pass), so ``dataset`` must
     be the one it was trained on. With ``train_idx``, also ``train_accuracy``.
     """
-    test_idx = _integers(test_idx, "test_idx")
+    test_idx = _indices(test_idx, "test_idx")
     if test_idx.size == 0:
         raise ValueError("test_idx is empty")
     probs = model.probabilities

@@ -249,6 +249,15 @@ def test_config_naming_a_directory_is_one_config_line(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["cv", "compare", "graph-stats"])
+def test_missing_config_names_the_flag(tmp_path, capsys, command):
+    # it named the document root "$", where a directory names --config
+    missing = tmp_path / "nope.json"
+    assert main([command, "--config", str(missing)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: --config: config file not found: {missing}"]
+
+
+@pytest.mark.parametrize("command", ["cv", "compare", "graph-stats"])
 @pytest.mark.parametrize("field", ["--out", "out"])
 def test_out_under_a_file_refused_before_any_work(
         tmp_path, capsys, monkeypatch, command, field):

@@ -460,6 +460,28 @@ class TestIntegerArguments:
         call(good.astype(np.uint8))
         call(good.tolist())
 
+    @pytest.mark.parametrize("name, call", [
+        ("train_idx", lambda: popgcn.FoldSplit([-1, *range(20)],
+                                               range(20, 30), 0)),
+        ("test_idx", lambda: popgcn.FoldSplit([0, 1], [-1], 0)),
+        ("train_idx", lambda: popgcn.train_model(
+            _dataset(), [popgcn.PropagationMatrix(None, n_nodes=4)],
+            popgcn.TrainConfig(), 0, train_idx=[-1, 0, 1, 2])),
+        ("test_idx", lambda: popgcn.evaluate(_model(), _dataset(), [-1])),
+        ("idx", lambda: popgcn.evaluate(_model(), _dataset(), _INDEX,
+                                        train_idx=[0, -1])),
+        ("idx", lambda: popgcn.accuracy(_PROBS, _LABELS, [-1])),
+        ("idx", lambda: popgcn.confusion_matrix(_LABELS, _LABELS, [-1], 2)),
+    ], ids=["FoldSplit-train_idx", "FoldSplit-test_idx", "train_model",
+            "evaluate-test_idx", "evaluate-train_idx", "accuracy",
+            "confusion_matrix"])
+    def test_negative_index_refused_by_name(self, name, call):
+        # NumPy reads -1 as the last node: FoldSplit took node 29, a test
+        # node, as a training node, and accuracy silently scored node N-1
+        with pytest.raises(DataError, match=f"^{name} must be nonnegative, "
+                           "got -1$"):
+            call()
+
     @pytest.mark.parametrize("call", [
         lambda: popgcn.accuracy(_PROBS, _LABELS, []),
         lambda: popgcn.evaluate(_model(), _dataset(), []),

@@ -21,11 +21,15 @@ from helpers import quick_dataset
 TILE = math.isqrt(graph._BLOCK_ITEMS)
 
 
-def corrcoef_on_one_blas_thread(feats):
-    """``np.corrcoef(feats)`` with OpenBLAS on one thread, as
-    ``similarity_matrix`` runs its product: on more threads the product
-    may round differently."""
-    return graph._one_blas_thread(np.corrcoef, feats)
+def unit_row_product(feats):
+    """The similarity written as whole-array steps: each centred row over
+    the root of its sum of squares, then the product of those unit rows on
+    one BLAS thread, clipped to [0, 1], with a unit diagonal."""
+    centred = feats - feats.mean(axis=1, keepdims=True)
+    z = centred / np.sqrt(np.sum(centred ** 2, axis=1))[:, None]
+    sim = np.clip(graph._one_blas_thread(np.matmul, z, z.T), 0.0, 1.0)
+    np.fill_diagonal(sim, 1.0)
+    return sim
 
 
 def _symmetric(n, seed=0):
@@ -229,15 +233,21 @@ class TestSimilarityMatrix:
         with pytest.raises(GraphError, match="feature row 3 is constant"):
             popgcn.similarity_matrix(feats)
 
-    def test_peak_memory_is_the_result_plus_one_tile_per_thread(
-            self, threaded_build):
-        # 16 row blocks in 2 threads: beside the result, the centred rows
-        # while the product runs, then per thread one block of mirror
-        # entries (at most _BLOCK_ITEMS) and ufunc iteration buffers
+    def test_row_whose_variance_is_subnormal_names_row(self):
+        # the centred sum of squares of a d=20 row x 1e-154 is normal, but
+        # scaled by 1/19 it is subnormal: its squared deviations are too
+        feats = np.random.default_rng(0).standard_normal((30, 20))
+        feats[4] *= 1e-154
+        with pytest.raises(GraphError, match="feature row 4 has a centred "
+                           "sum of squares that is not finite and positive"):
+            popgcn.similarity_matrix(feats)
+
+    def test_peak_memory_is_the_result_plus_the_unit_rows(self):
+        # beside the result, the centred rows until the product is taken,
+        # and ufunc iteration buffers
         n, d = 1000, 20
         feats = np.random.default_rng(0).standard_normal((n, d))
-        per_thread = graph._BLOCK_ITEMS * 8 + 3 * np.getbufsize() * 8
-        bound = n * n * 8 + n * d * 8 + 2 * per_thread
+        bound = n * n * 8 + n * d * 8 + 3 * np.getbufsize() * 8
         tracemalloc.start()
         try:
             popgcn.similarity_matrix(feats)
@@ -246,50 +256,29 @@ class TestSimilarityMatrix:
             tracemalloc.stop()
         assert peak <= bound, (peak, bound)
 
-    @pytest.mark.parametrize("threads", [1, 2, 6])
-    def test_bits_whatever_the_thread_count(self, monkeypatch, threads):
-        # 26 row blocks in 1, 2 or 6 threads, switching often: the threads
-        # write disjoint rows of one array, and a write into another
-        # thread's rows would change the bytes
-        feats = np.random.default_rng(6).standard_normal((5 * TILE + 7, 9))
-        sim = corrcoef_on_one_blas_thread(feats)
-        expected = np.clip((sim + sim.T) / 2.0, 0.0, 1.0)
-        np.fill_diagonal(expected, 1.0)
-        monkeypatch.setattr(graph, "_build_threads",
-                            lambda n_jobs: min(n_jobs, threads))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            sim = popgcn.similarity_matrix(feats)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sim.tobytes() == expected.tobytes()
-
-    # 1000 rows end in a partial block of 25
     @pytest.mark.parametrize("n", [3, TILE, TILE + 1, 2 * TILE + 3, 1000])
     def test_bits_of_the_full_matrix_formula(self, n):
         feats = np.random.default_rng(n).standard_normal((n, 7))
         feats[0] *= 1e150  # large but in range: still correlated exactly
         # correlations of exactly +-1, or a rounding past them, meet the
-        # [-1, 1] clip
+        # [0, 1] clip
         tied = feats.copy()
         tied[n - 1], tied[n - 2] = tied[0], -tied[0]
         for cohort in (feats, tied):
-            sim = corrcoef_on_one_blas_thread(cohort)
-            expected = np.clip((sim + sim.T) / 2.0, 0.0, 1.0)
-            np.fill_diagonal(expected, 1.0)
-            assert (popgcn.similarity_matrix(cohort).tobytes()
-                    == expected.tobytes())
+            sim = popgcn.similarity_matrix(cohort)
+            assert sim.tobytes() == unit_row_product(cohort).tobytes()
+            corr = np.clip(np.corrcoef(cohort), 0.0, 1.0)
+            np.fill_diagonal(corr, 1.0)
+            assert np.abs(sim - corr).max() <= 2e-15
 
     @pytest.mark.parametrize("d", [2, 7, 500])
     @pytest.mark.parametrize("n", [2, TILE + 1, 1000])
     def test_product_of_centred_rows_is_exactly_symmetric(self, n, d):
-        # the walk reads each entry's mirror value off its own row; a NumPy
-        # or BLAS whose a @ a.T rounds the two triangles apart fails here
+        # a NumPy or BLAS whose a @ a.T rounds the two triangles apart
+        # fails here, and the built affinities are proven symmetric by it
         feats = np.random.default_rng(n * d).standard_normal((n, d))
-        centred = feats - feats.mean(axis=1, keepdims=True)
-        product = graph._one_blas_thread(np.matmul, centred, centred.T)
-        assert np.array_equal(product, product.T)
+        sim = popgcn.similarity_matrix(feats)
+        assert np.array_equal(sim, sim.T)
 
     def test_pins_in_two_threads_restore_the_thread_count(self,
                                                           monkeypatch):
